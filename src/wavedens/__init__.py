@@ -17,9 +17,8 @@ from .increments import (IncrementFunction, cell_density, from_cell_density,
 from .kernel import (LocalizedKernel, ProjectionKernel, cell_lower_corners,
                      dyadic_centers, kernel_K, kernel_K_batch, kernel_Kj,
                      kernel_Kj_batch, localize)
-from .limitsets import (IntervalJ, LimitSetSpec, StrassenDistance, gamma_interval,
-                        h_poisson, strassen_distance, strassen_extremal,
-                        theorem2_threshold)
+from .limitsets import (IntervalJ, StrassenDistance, gamma_interval, h_poisson,
+                        strassen_distance, strassen_extremal, theorem2_threshold)
 from .sampling import Density, SeedSpec, draw, make_density
 
 __version__ = "0.1.0"
@@ -38,7 +37,7 @@ __all__ = [
     "LocalizedKernel", "ProjectionKernel", "cell_lower_corners",
     "dyadic_centers", "kernel_K", "kernel_K_batch", "kernel_Kj",
     "kernel_Kj_batch", "localize",
-    "IntervalJ", "LimitSetSpec", "StrassenDistance", "gamma_interval",
+    "IntervalJ", "StrassenDistance", "gamma_interval",
     "h_poisson", "strassen_distance", "strassen_extremal",
     "theorem2_threshold",
     "Density", "SeedSpec", "draw", "make_density",

@@ -22,7 +22,7 @@ from .experiments import (ExperimentConfig, emit_report, run_theorem1,
 from .increments import g_n_x, g_tilde_n_x
 from .kernel import ProjectionKernel, cell_lower_corners, localize
 from .limitsets import gamma_interval
-from .sampling import SeedSpec, draw, make_density
+from .sampling import SeedSpec, _grid_points, draw, make_density
 
 
 def _fmt(v: float) -> str:
@@ -36,6 +36,14 @@ def _write_csv(path: str, header: str, rows):
             fh.write(",".join(row) + "\n")
 
 
+def _write_table(path: str, prefix: str, points, names: list, *columns):
+    """CSV of points, one column per coordinate, then the named value columns."""
+    coords = [f"{prefix}_{i + 1}" for i in range(points.shape[1])]
+    _write_csv(path, ",".join(coords + names),
+               ([_fmt(c) for c in p] + [_fmt(v) for v in vals]
+                for p, *vals in zip(points, *columns)))
+
+
 def _cmd_basis(args) -> int:
     sf = build_family(args.family, args.depth)
     a, _ = sf.support
@@ -46,16 +54,11 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    basis = build_family(args.family)
-    pk = ProjectionKernel(basis, args.dim)
+    pk = ProjectionKernel(build_family(args.family), args.dim)
     center = np.asarray([float(v) for v in args.center.split(",")])
     lk = localize(pk, args.level, center, args.step)
-    corners = cell_lower_corners(lk)
-    cells = lk.cell_values().ravel()
-    header = ",".join(f"s_{i + 1}" for i in range(args.dim)) + ",ktilde"
-    _write_csv(args.emit, header,
-               ([_fmt(c) for c in corner] + [_fmt(v)]
-                for corner, v in zip(corners, cells)))
+    _write_table(args.emit, "s", cell_lower_corners(lk), ["ktilde"],
+                 lk.cell_values().ravel())
     sidecar = {"sigma": lk.sigma, "tv": lk.tv, "integral": lk.integral()}
     with open(args.emit.rsplit(".", 1)[0] + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -74,10 +77,7 @@ def _cmd_estimate(args) -> int:
     f = np.atleast_1d(density.pdf(grid.points))
     efhat = [expected_estimator(density, basis, args.level, p)
              for p in grid.points]
-    header = ",".join(f"x_{i + 1}" for i in range(args.dim)) + ",fhat,efhat,f"
-    _write_csv(args.emit, header,
-               ([_fmt(c) for c in p] + [_fmt(a), _fmt(b), _fmt(c2)]
-                for p, a, b, c2 in zip(grid.points, fhat, efhat, f)))
+    _write_table(args.emit, "x", grid.points, ["fhat", "efhat", "f"], fhat, efhat, f)
     return 0
 
 
@@ -90,30 +90,18 @@ def _cmd_increments(args) -> int:
     else:
         g = g_tilde_n_x(sample, density, x, args.level, args.c,
                         grid_step=args.step)
-    grids = np.meshgrid(*g.axes, indexing="ij")
-    corners = np.stack([gr.ravel() for gr in grids], axis=-1)
-    header = ",".join(f"s_{i + 1}" for i in range(args.dim)) + ",value"
-    _write_csv(args.emit, header,
-               ([_fmt(c) for c in corner] + [_fmt(v)]
-                for corner, v in zip(corners, g.values.ravel())))
+    _write_table(args.emit, "s", _grid_points(g.axes), ["value"], g.values.ravel())
     return 0
 
 
 def _cmd_limitsets(args) -> int:
-    basis = build_family(args.family)
-    pk = ProjectionKernel(basis, args.dim)
+    pk = ProjectionKernel(build_family(args.family), args.dim)
     lk = localize(pk, 0, np.zeros(args.dim), args.step)
     iv = gamma_interval(lk, args.v)
     grid_csv = args.emit.rsplit(".", 1)[0] + "_grid.csv"
-    corners = cell_lower_corners(lk)
-    header = (",".join(f"s_{i + 1}" for i in range(args.dim))
-              + ",ktilde,gdot_lo,gdot_hi")
-    _write_csv(grid_csv, header,
-               ([_fmt(c) for c in corner] + [_fmt(k), _fmt(glo), _fmt(ghi)]
-                for corner, k, glo, ghi in zip(
-                    corners, lk.cell_values().ravel(),
-                    iv.certificate["gdot_lo"].ravel(),
-                    iv.certificate["gdot_hi"].ravel())))
+    _write_table(grid_csv, "s", cell_lower_corners(lk), ["ktilde", "gdot_lo", "gdot_hi"],
+                 lk.cell_values().ravel(), iv.certificate["gdot_lo"].ravel(),
+                 iv.certificate["gdot_hi"].ravel())
     payload = {"v": iv.v, "lo": iv.lo, "hi": iv.hi,
                "eta_lo": iv.certificate["eta_lo"],
                "eta_hi": iv.certificate["eta_hi"],

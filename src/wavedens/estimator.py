@@ -16,7 +16,7 @@ import numpy as np
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError, NumericalError
 from .kernel import ProjectionKernel, kernel_Kj_batch
-from .sampling import Density
+from .sampling import Density, _as_sample, _grid_points
 
 GRID_CAP = 4096
 
@@ -49,41 +49,47 @@ class WaveletDensityEstimator:
         return float(self.table.sum() * 2.0 ** (-d * j / 2.0))
 
 
-def _shift_candidates(sf: ScalingFunction, xs: np.ndarray):
-    """First candidate shift per point plus the offset range covering supp phi."""
+def _for_each_shift(sf: ScalingFunction, xs: np.ndarray, visit):
+    """Call visit(k, prod_i phi(xs_i - k_i)) for each shift k = ceil(xs - b) +
+    offset whose support [k + a, k + b] can contain the points xs (rescaled
+    by 2^j, shape (m, d)).  A callback, not a generator: a generator's caller
+    keeps the previous (k, vals) alive while the next pair is built, which
+    costs two more n-sized arrays at peak and measurably slows fit."""
     a, b = sf.support
+    m, d = xs.shape
     k0 = np.ceil(xs - b)
-    return k0, int(b - a) + 1
+    for offs in itertools.product(range(int(b - a) + 1), repeat=d):
+        k = k0 + np.asarray(offs, float)
+        vals = np.ones(m)
+        for i in range(d):
+            vals = vals * eval_phi(sf, xs[:, i] - k[:, i])
+        visit(k, vals)
 
 
 def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     """Empirical scaling coefficients alpha_hat_{j,k} = (1/n) sum_i phi_{j,k}(X_i)."""
     if j < 0:
         raise ConfigurationError("level j must be >= 0")
-    sample = np.asarray(sample, float)
-    if sample.ndim == 1:
-        sample = sample[:, None]
+    sample = _as_sample(sample)
     n, d = sample.shape
     if n == 0:
         raise ValueError("empty sample")
     xs = sample * (2.0 ** j)
-    k0, width = _shift_candidates(basis, xs)
-    kmin = np.floor(k0.min(axis=0)).astype(np.int64)
-    kmax = np.floor(k0.max(axis=0)).astype(np.int64) + width - 1
+    b = basis.support[1]  # the shifts visited span ceil(xs - b) + [0, width]
+    kmin = np.ceil(xs.min(axis=0) - b).astype(np.int64)
+    kmax = np.ceil(xs.max(axis=0) - b).astype(np.int64) + basis.width
     shape = tuple(int(kmax[i] - kmin[i] + 1) for i in range(d))
     table = np.zeros(shape)
     flat = table.ravel()
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(d)], dtype=np.int64)
-    for offs in itertools.product(range(width), repeat=d):
-        k = k0 + np.asarray(offs, float)
-        vals = np.ones(n)
-        for i in range(d):
-            vals = vals * eval_phi(basis, xs[:, i] - k[:, i])
+
+    def add(k, vals):
         live = vals != 0.0
-        if not np.any(live):
-            continue
-        idx = ((k[live].astype(np.int64) - kmin) * strides).sum(axis=1)
-        np.add.at(flat, idx, vals[live])
+        if np.any(live):
+            idx = ((k[live].astype(np.int64) - kmin) * strides).sum(axis=1)
+            np.add.at(flat, idx, vals[live])
+
+    _for_each_shift(basis, xs, add)
     table *= 2.0 ** (d * j / 2.0) / n
     return WaveletDensityEstimator(basis, j, n, d, kmin, table)
 
@@ -97,32 +103,26 @@ def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
         raise ValueError("point dimension mismatch")
     d, j = est.dimension, est.level
     xs = pts * (2.0 ** j)
-    k0, width = _shift_candidates(est.basis, xs)
     shape = est.table.shape
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(d)], dtype=np.int64)
     flat = est.table.ravel()
     out = np.zeros(len(pts))
-    for offs in itertools.product(range(width), repeat=d):
-        k = k0 + np.asarray(offs, float)
-        vals = np.ones(len(pts))
-        for i in range(d):
-            vals = vals * eval_phi(est.basis, xs[:, i] - k[:, i])
+
+    def add(k, vals):
         ki = k.astype(np.int64) - est.origin
         inside = np.all((ki >= 0) & (ki < np.asarray(shape)), axis=1)
         live = inside & (vals != 0.0)
-        if not np.any(live):
-            continue
-        idx = (ki[live] * strides).sum(axis=1)
-        out[live] += flat[idx] * vals[live]
+        if np.any(live):
+            out[live] += flat[(ki[live] * strides).sum(axis=1)] * vals[live]
+
+    _for_each_shift(est.basis, xs, add)
     out *= 2.0 ** (d * j / 2.0)
     return float(out[0]) if single else out
 
 
 def evaluate_kernel_form(basis: ScalingFunction, j: int, sample, x) -> float:
     """fhat(x) = (1/n) sum_i K_j(x, X_i); equals the coefficient form."""
-    sample = np.asarray(sample, float)
-    if sample.ndim == 1:
-        sample = sample[:, None]
+    sample = _as_sample(sample)
     n, d = sample.shape
     pk = ProjectionKernel(basis, d)
     xx = np.broadcast_to(np.atleast_1d(np.asarray(x, float)), (n, d))
@@ -218,9 +218,7 @@ def make_grid(box, j: int, kind: str = "dyadic", cap: int = GRID_CAP,
             axes.append(np.linspace(lo[i], hi[i], min(cap, 512)))
     else:
         raise ConfigurationError(f"unknown grid kind {kind!r}")
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    return EvaluationGrid((lo, hi), points, j, all_dyadic)
+    return EvaluationGrid((lo, hi), _grid_points(axes), j, all_dyadic)
 
 
 @dataclass(frozen=True)
@@ -232,7 +230,8 @@ class SupStatistic:
     normalization: str
 
     def __post_init__(self):
-        assert self.sup_dev >= self.inf_dev
+        if not self.sup_dev >= self.inf_dev:
+            raise NumericalError(f"sup_dev {self.sup_dev!r} below inf_dev {self.inf_dev!r}")
 
 
 def sup_deviation(est: WaveletDensityEstimator, density: Density,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,6 +28,10 @@ from .sampling import SeedSpec, draw, make_density
 DEFAULT_RATIO_THRESHOLD_FRACTION = 0.25
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ResolutionSchedule:
     regime: str  # "CRS" | "ER"
@@ -37,11 +41,11 @@ class ResolutionSchedule:
     def __post_init__(self):
         if self.regime == "CRS":
             g = self.params.get("gamma")
-            if g is None or not (0.0 < g < 1.0):
+            if not isinstance(g, numbers.Real) or not 0.0 < g < 1.0:
                 raise ConfigurationError("CRS schedule needs gamma in (0, 1)")
         elif self.regime == "ER":
             c = self.params.get("c")
-            if c is None or c <= 0.0:
+            if not isinstance(c, numbers.Real) or c <= 0.0:
                 raise ConfigurationError("ER schedule needs c > 0")
         else:
             raise ConfigurationError(f"unknown schedule regime {self.regime!r}")
@@ -81,16 +85,24 @@ class ExperimentConfig:
     ratio_threshold: float | None = None  # theorem 2; None = derive from limit sets
 
     def validate(self):
-        if self.theorem not in (1, 2):
+        """Check the config's invariants; returns the density and the
+        scaling function it names."""
+        if not _is_int(self.theorem) or self.theorem not in (1, 2):
             raise ConfigurationError("theorem must be 1 or 2")
+        if not _is_int(self.dimension) or self.dimension < 1:
+            raise ConfigurationError("dimension must be an integer >= 1")
         if not self.n_grid:
             raise ConfigurationError("n_grid must be nonempty")
+        if not all(_is_int(n) for n in self.n_grid):
+            raise ConfigurationError("n_grid entries must be integers")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ConfigurationError("n_grid must be strictly increasing")
         if min(self.n_grid) < 4:
             raise ConfigurationError("n_grid entries must be >= 4")
-        if self.replications < 1:
-            raise ConfigurationError("replications must be >= 1")
+        if not _is_int(self.replications) or self.replications < 1:
+            raise ConfigurationError("replications must be an integer >= 1")
+        if not _is_int(self.base_seed) or not 0 <= self.base_seed < 2 ** 64:
+            raise ConfigurationError("base_seed must be an integer in [0, 2^64)")
         lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in self.h)
         if len(lo) != self.dimension or len(hi) != self.dimension:
             raise ConfigurationError("H must have one (lo, hi) pair per dimension")
@@ -100,8 +112,7 @@ class ExperimentConfig:
             raise ConfigurationError("schedule dimension mismatch")
         if self.theorem == 1 and self.schedule.regime != "CRS":
             raise ConfigurationError("theorem 1 requires the CRS regime")
-        make_density(self.density, self.dimension)
-        build_family(self.basis)
+        return make_density(self.density, self.dimension), build_family(self.basis)
 
     def to_dict(self) -> dict:
         lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in self.h)
@@ -126,12 +137,15 @@ class ExperimentConfig:
         sched = dict(data["schedule"])
         regime = sched.pop("regime")
         schedule = ResolutionSchedule(regime, sched, data["dimension"])
+        h = data["h"]
+        if not (isinstance(h, list) and len(h) == 2 and all(isinstance(v, list) for v in h)):
+            raise ConfigurationError("h must be [lo, hi] with one bound list each")
         return cls(
             theorem=data["theorem"],
             density=data["density"],
             dimension=data["dimension"],
             basis=data["basis"],
-            h=(tuple(data["h"][0]), tuple(data["h"][1])),
+            h=(tuple(h[0]), tuple(h[1])),
             schedule=schedule,
             n_grid=tuple(data["n_grid"]),
             replications=data["replications"],
@@ -150,7 +164,6 @@ class RunRecord:
     sup_dev: float
     inf_dev: float
     argmax: tuple
-    wall_time: float
     stream_index: int
 
 
@@ -165,13 +178,10 @@ def _thread_count() -> int:
     return k
 
 
-def _run_pairs(config: ExperimentConfig, mode: str):
-    """Execute all (n, replication) pairs; returns records plus per-n grids."""
-    config.validate()
-    density = make_density(config.density, config.dimension)
-    basis = build_family(config.basis)
-    records = []
-    per_n = {}
+def _run_pairs(config: ExperimentConfig, density, basis, mode: str) -> dict:
+    """Execute all (n, replication) pairs; returns {n: (per-n facts, records
+    in replication order)} in n_grid order."""
+    groups = {}
     for n_idx, n in enumerate(config.n_grid):
         j = schedule_level(config.schedule, n)
         grid = make_grid(config.h, j, config.grid)
@@ -179,18 +189,16 @@ def _run_pairs(config: ExperimentConfig, mode: str):
         if mode == "theorem1":
             expected = np.array([expected_estimator(density, basis, j, p)
                                  for p in grid.points])
-        per_n[n] = {"level": j, "ratio": realized_ratio(config.schedule, n),
-                    "grid_size": len(grid)}
+        info = {"level": j, "ratio": realized_ratio(config.schedule, n),
+                "grid_size": len(grid)}
 
         def one(rep, n=n, j=j, grid=grid, expected=expected, n_idx=n_idx):
             idx = n_idx * config.replications + rep
-            t0 = time.perf_counter()
             sample = draw(density, SeedSpec(config.base_seed, idx), n)
             est = fit(basis, j, sample)
             stat = sup_deviation(est, density, grid, mode, expected=expected)
-            wall = time.perf_counter() - t0
             return RunRecord(rep, n, j, stat.sup_dev, stat.inf_dev,
-                             tuple(stat.argmax), wall, idx)
+                             tuple(stat.argmax), idx)
 
         threads = _thread_count()
         reps = range(config.replications)
@@ -199,8 +207,8 @@ def _run_pairs(config: ExperimentConfig, mode: str):
                 recs = list(pool.map(one, reps))
         else:
             recs = [one(r) for r in reps]
-        records.extend(sorted(recs, key=lambda r: (r.n, r.replication)))
-    return density, basis, records, per_n
+        groups[n] = (info, sorted(recs, key=lambda r: r.replication))
+    return groups
 
 
 def _kendall_tau(values, tol: float = 0.0) -> float:
@@ -233,14 +241,13 @@ def run_theorem1(config: ExperimentConfig) -> dict:
     """Monte Carlo check of the exact LIL fluctuation rate under CRS."""
     if config.schedule.regime != "CRS":
         raise ConfigurationError("theorem 1 experiment requires a CRS schedule")
-    _, _, records, per_n = _run_pairs(config, "theorem1")
+    groups = _run_pairs(config, *config.validate(), "theorem1")
     summary = {}
-    for n in config.n_grid:
-        sub = [r for r in records if r.n == n]
+    for n, (info, recs) in groups.items():
         summary[str(n)] = {
-            **per_n[n],
-            "sup_dev": _quantiles([r.sup_dev for r in sub]),
-            "inf_dev": _quantiles([r.inf_dev for r in sub]),
+            **info,
+            "sup_dev": _quantiles([r.sup_dev for r in recs]),
+            "inf_dev": _quantiles([r.inf_dev for r in recs]),
         }
     top = list(config.n_grid)[-3:]
     sup_meds = [summary[str(n)]["sup_dev"]["median"] for n in top]
@@ -256,6 +263,7 @@ def run_theorem1(config: ExperimentConfig) -> dict:
     }
     # finite-n proxy for the dense-range statement: spread of attained values
     empirical_range = [last["inf_dev"]["median"], last["sup_dev"]["median"]]
+    records = [r for _, recs in groups.values() for r in recs]
     return {"config": config.to_dict(), "records": records,
             "summary": summary, "empirical_range_last_n": empirical_range,
             "predicates": predicates, "passed": all(predicates.values())}
@@ -282,16 +290,14 @@ def run_theorem2(config: ExperimentConfig) -> dict:
     threshold; under a CRS schedule (contrast run) the headline is the
     fraction below the threshold at the largest n.
     """
-    density = make_density(config.density, config.dimension)
-    basis = build_family(config.basis)
+    density, basis = config.validate()
     threshold, delta = _ratio_threshold(config, density, basis)
-    _, _, records, per_n = _run_pairs(config, "ratio")
+    groups = _run_pairs(config, density, basis, "ratio")
     summary = {}
-    for n in config.n_grid:
-        sub = [r for r in records if r.n == n]
-        sups = [r.sup_dev for r in sub]
+    for n, (info, recs) in groups.items():
+        sups = [r.sup_dev for r in recs]
         frac = float(np.mean([s >= threshold for s in sups]))
-        summary[str(n)] = {**per_n[n], "sup_ratio_dev": _quantiles(sups),
+        summary[str(n)] = {**info, "sup_ratio_dev": _quantiles(sups),
                            "fraction_exceeding": frac}
     fractions = [summary[str(n)]["fraction_exceeding"] for n in config.n_grid]
     last_frac = fractions[-1]
@@ -301,6 +307,7 @@ def run_theorem2(config: ExperimentConfig) -> dict:
     else:
         headline = 1.0 - last_frac
         predicates = {"fraction_below_at_largest_n_ge_090": headline >= 0.9}
+    records = [r for _, recs in groups.values() for r in recs]
     return {"config": config.to_dict(), "records": records, "summary": summary,
             "threshold": threshold, "limit_delta": delta,
             "headline_fraction": headline,

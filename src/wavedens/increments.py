@@ -19,8 +19,9 @@ import numpy as np
 from .basis import ScalingFunction
 from .errors import ConfigurationError
 from .estimator import evaluate_kernel_form, expected_estimator
-from .kernel import LocalizedKernel, ProjectionKernel, kernel_K_batch
-from .sampling import Density
+from .kernel import (LocalizedKernel, ProjectionKernel, _box_diff, _box_sum,
+                     _corner_axes, kernel_K_batch)
+from .sampling import Density, _as_sample
 
 DEFAULT_GRID_STEP = 2.0 ** -10
 
@@ -52,9 +53,7 @@ def increment(sample, density: Density, x, h: float, s_box) -> float:
     s_box = (s, u) with s <= u coordinatewise; points are rescaled by
     u_i = (X_i - x) / h^(1/d); the centering probability is analytic.
     """
-    sample = np.asarray(sample, float)
-    if sample.ndim == 1:
-        sample = sample[:, None]
+    sample = _as_sample(sample)
     n, d = sample.shape
     x = np.atleast_1d(np.asarray(x, float))
     s, u = (np.atleast_1d(np.asarray(v, float)) for v in s_box)
@@ -67,25 +66,21 @@ def increment(sample, density: Density, x, h: float, s_box) -> float:
     return float(math.sqrt(n) * (inside.mean() - p))
 
 
-def _corner_counts(u: np.ndarray, axes) -> np.ndarray:
-    """Counts of points in [s, top] for every corner s of the lattice."""
-    d = u.shape[1]
-    edges = [np.asarray(ax, float) for ax in axes]
-    hist, _ = np.histogramdd(u, bins=edges)
-    rc = hist
-    for ax in range(d):
-        rc = np.flip(np.cumsum(np.flip(rc, ax), ax), ax)
-    corners = np.zeros(tuple(len(e) for e in edges))
-    corners[(slice(0, -1),) * d] = rc
-    return corners
-
-
-def _lattice(halfwidth: float, grid_step: float, d: int):
-    m = 2.0 * halfwidth / grid_step
-    if abs(m - round(m)) > 1e-9 or round(m) < 2:
-        raise ConfigurationError("grid_step must evenly divide the domain box width")
-    ax = -halfwidth + grid_step * np.arange(int(round(m)) + 1)
-    return (ax,) * d
+def _corner_counts(sample, density: Density, x, j: int, halfwidth: float,
+                   grid_step: float):
+    """Set-up shared by g_{n,x} and gtilde_{n,x}: (n, x, f(x), h, axes, counts),
+    counts holding the number of rescaled points 2^j (X_i - x) in [s, top]
+    for every corner s of the lattice."""
+    sample = _as_sample(sample)
+    n, d = sample.shape
+    x = np.atleast_1d(np.asarray(x, float))
+    fx = float(density.pdf(x))
+    if fx <= 0.0:
+        raise ValueError("f(x) must be positive")
+    axes = _corner_axes(halfwidth, grid_step, d)
+    u = (sample - x) / (2.0 ** -j)
+    hist, _ = np.histogramdd(u, bins=[np.asarray(ax, float) for ax in axes])
+    return n, x, fx, 2.0 ** (-d * j), axes, _box_sum(hist)
 
 
 def g_n_x(sample, density: Density, x, j: int,
@@ -93,26 +88,14 @@ def g_n_x(sample, density: Density, x, j: int,
     """LIL-normalized increment function over boxes [s, top]."""
     if j < 1:
         raise ValueError("level j must be >= 1 (log(1/h) = 0 at j = 0)")
-    sample = np.asarray(sample, float)
-    if sample.ndim == 1:
-        sample = sample[:, None]
-    n, d = sample.shape
-    x = np.atleast_1d(np.asarray(x, float))
-    fx = float(density.pdf(x))
-    if fx <= 0.0:
-        raise ValueError("f(x) must be positive")
-    h = 2.0 ** (-d * j)
+    n, x, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step)
     scale = 2.0 ** -j
-    axes = _lattice(halfwidth, grid_step, d)
-    u = (sample - x) / scale
-    counts = _corner_counts(u, axes)
     top = x + halfwidth * scale
-    probs = density.box_prob_grid([x[i] + np.asarray(axes[i]) * scale for i in range(d)], top)
+    probs = density.box_prob_grid([x[i] + np.asarray(ax) * scale
+                                   for i, ax in enumerate(axes)], top)
     denom = math.sqrt(2.0 * fx * h * math.log(1.0 / h))
     values = math.sqrt(n) * (counts / n - probs) / denom
-    meta = {"f_x": fx, "n": n, "h": h,
-            "atoms": u[np.all(np.abs(u) <= halfwidth, axis=1)],
-            "denominator": denom}
+    meta = {"f_x": fx, "n": n, "h": h, "denominator": denom}
     return IncrementFunction("gnx", x, j, h, axes, values, meta)
 
 
@@ -121,18 +104,7 @@ def g_tilde_n_x(sample, density: Density, x, j: int, c: float,
     """Erdos-Renyi scaled counting functional (nonnegative, box-monotone)."""
     if c <= 0.0:
         raise ValueError("c must be positive")
-    sample = np.asarray(sample, float)
-    if sample.ndim == 1:
-        sample = sample[:, None]
-    n, d = sample.shape
-    x = np.atleast_1d(np.asarray(x, float))
-    fx = float(density.pdf(x))
-    if fx <= 0.0:
-        raise ValueError("f(x) must be positive")
-    h = 2.0 ** (-d * j)
-    axes = _lattice(halfwidth, grid_step, d)
-    u = (sample - x) / (2.0 ** -j)
-    counts = _corner_counts(u, axes)
+    n, x, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step)
     values = counts / (c * fx * n * h)
     meta = {"f_x": fx, "n": n, "h": h, "c": c}
     return IncrementFunction("gtilde", x, j, h, axes, values, meta)
@@ -142,23 +114,13 @@ def from_cell_density(kind: str, axes, gdot_cells: np.ndarray, meta=None) -> Inc
     """Box-summation of a cell density: g(s) = sum over cells in [s, top]."""
     d = gdot_cells.ndim
     step = float(axes[0][1] - axes[0][0])
-    vol = step ** d
-    rc = gdot_cells * vol
-    for ax in range(d):
-        rc = np.flip(np.cumsum(np.flip(rc, ax), ax), ax)
-    corners = np.zeros(tuple(len(a) for a in axes))
-    corners[(slice(0, -1),) * d] = rc
     return IncrementFunction(kind, np.zeros(d), 0, 1.0, tuple(axes),
-                             corners, dict(meta or {}))
+                             _box_sum(gdot_cells * step ** d), dict(meta or {}))
 
 
 def cell_density(g: IncrementFunction) -> np.ndarray:
     """Invert box summation: cell densities gdot with g(s) = int_[s,top] gdot."""
-    d = g.dimension
-    masses = g.values
-    for ax in range(d):
-        masses = -np.diff(masses, axis=ax)
-    return masses / (g.step ** d)
+    return _box_diff(g.values) / (g.step ** g.dimension)
 
 
 def _resample_to(g: IncrementFunction, axes) -> np.ndarray:
@@ -181,14 +143,12 @@ def theta(lk: LocalizedKernel, g: IncrementFunction, normalized: bool = True) ->
     sum_m Ktilde(s_m)(g(s_m) - g(s_{m+1}))); divided by sigma when
     normalized.
     """
+    if g.dimension != lk.dimension:
+        raise ConfigurationError("increment and kernel dimensions differ")
     same = (len(g.axes[0]) == len(lk.axes[0])
             and np.allclose(g.axes[0], lk.axes[0], atol=1e-12))
     vals = g.values if same else _resample_to(g, lk.axes)
-    d = lk.dimension
-    masses = vals
-    for ax in range(d):
-        masses = -np.diff(masses, axis=ax)
-    total = float(np.sum(lk.cell_values() * masses))
+    total = float(np.sum(lk.cell_values() * _box_diff(vals)))
     return total / lk.sigma if normalized else total
 
 
@@ -203,9 +163,7 @@ def relation_check(sample, density: Density, x, j: int, basis: ScalingFunction) 
     sigma-normalized variant fails by the factor sigma for bases with
     K(0,0) != 1, e.g. D4.
     """
-    sample = np.asarray(sample, float)
-    if sample.ndim == 1:
-        sample = sample[:, None]
+    sample = _as_sample(sample)
     n, d = sample.shape
     x = np.atleast_1d(np.asarray(x, float))
     fx = float(density.pdf(x))

@@ -9,13 +9,13 @@ width of phi.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError
+from .sampling import _grid_points
 
 
 @dataclass(frozen=True)
@@ -113,45 +113,59 @@ class LocalizedKernel:
         return float(self.cell_values().sum() * self.cell_volume)
 
 
+def _corner_axes(halfwidth: float, grid_step: float, d: int) -> tuple:
+    """The corner lattice -W + step * arange(m + 1) over [-W, W], once per
+    coordinate; the step must divide 2W so that cells tile the box."""
+    if grid_step <= 0:
+        raise ConfigurationError("grid_step must be positive")
+    m = 2.0 * halfwidth / grid_step
+    if abs(m - round(m)) > 1e-9 or round(m) < 2:
+        raise ConfigurationError("grid_step must evenly divide the domain box width")
+    ax = -halfwidth + grid_step * np.arange(int(round(m)) + 1)
+    return (ax,) * d
+
+
+def _box_sum(cells: np.ndarray) -> np.ndarray:
+    """Corner values g(s) = sum of the cells in [s, top]; g is 0 on the top faces."""
+    rc = cells
+    for ax in range(cells.ndim):
+        rc = np.flip(np.cumsum(np.flip(rc, ax), ax), ax)
+    return np.pad(rc, [(0, 1)] * cells.ndim)
+
+
+def _box_diff(corners: np.ndarray) -> np.ndarray:
+    """Cell masses from corner values by alternating differences (inverts _box_sum)."""
+    for ax in range(corners.ndim):
+        corners = -np.diff(corners, axis=ax)
+    return corners
+
+
 def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKernel:
     """Sample Ktilde_{j,x}(s) = K(2^j x, 2^j x + s) over [-W, W]^d.
 
     The grid step must divide 2W so that cells tile the domain box
     (cell alignment keeps Haar discontinuities on grid lines).
     """
-    if grid_step <= 0:
-        raise ConfigurationError("grid_step must be positive")
     d = pk.dimension
     x = np.atleast_1d(np.asarray(x, float))
     if x.size != d:
         raise ConfigurationError(f"center has {x.size} coordinates, kernel is {d}-dimensional")
-    w = pk.domain_halfwidth
-    m = 2.0 * w / grid_step
-    if abs(m - round(m)) > 1e-9 or round(m) < 2:
-        raise ConfigurationError("grid_step must evenly divide the domain box width")
-    m = int(round(m))
-    ax = -w + grid_step * np.arange(m + 1)
+    axes = _corner_axes(pk.domain_halfwidth, grid_step, d)
     z = (2.0 ** j) * x
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
-    s = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = kernel_K_batch(pk, z, z + s).reshape((m + 1,) * d)
-    cell_vol = grid_step ** d
+    vals = kernel_K_batch(pk, z, z + _grid_points(axes)).reshape((len(axes[0]),) * d)
     lower = vals[(slice(0, -1),) * d]
-    sigma = float(np.sqrt(np.sum(lower ** 2) * cell_vol))
+    sigma = float(np.sqrt(np.sum(lower ** 2) * grid_step ** d))
     if d == 1:
         tv = float(np.sum(np.abs(np.diff(vals))) + abs(vals[0]) + abs(vals[-1]))
     else:
         tv = float("nan")
-    return LocalizedKernel(center=x.copy(), level=j, axes=(ax,) * d,
+    return LocalizedKernel(center=x.copy(), level=j, axes=axes,
                            values=vals, step=grid_step, sigma=sigma, tv=tv)
 
 
 def cell_lower_corners(lk: LocalizedKernel) -> np.ndarray:
     """Lower-corner coordinates of each grid cell, shape (n_cells, d)."""
-    d = lk.dimension
-    axes = [a[:-1] for a in lk.axes]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return _grid_points([a[:-1] for a in lk.axes])
 
 
 def dyadic_centers(pk: ProjectionKernel, j: int, count: int, seed: int = 0):
@@ -159,10 +173,3 @@ def dyadic_centers(pk: ProjectionKernel, j: int, count: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     ints = rng.integers(-(1 << j), 1 << j, size=(count, pk.dimension))
     return ints / (1 << j)
-
-
-def tensor_product(*arrays) -> np.ndarray:
-    out = arrays[0]
-    for a in arrays[1:]:
-        out = np.multiply.outer(out, a)
-    return out

@@ -17,15 +17,9 @@ from scipy.optimize import brentq
 
 from .errors import NumericalError
 from .increments import IncrementFunction, cell_density, from_cell_density, theta
-from .kernel import LocalizedKernel
+from .kernel import LocalizedKernel, _box_sum
 
 _EXP_CLIP = 500.0  # exp argument cap; costs beyond this dwarf any feasible 1/v
-
-
-@dataclass(frozen=True)
-class LimitSetSpec:
-    kind: str  # "strassen" | "gamma"
-    v: float = float("inf")
 
 
 @dataclass(frozen=True)
@@ -91,19 +85,11 @@ def strassen_distance(g: IncrementFunction, budget: int = 5000) -> StrassenDista
         nrm = math.sqrt(float(np.sum(gd ** 2)) * vol)
         return gd / nrm if nrm > 1.0 else gd
 
-    def box_integral(gd):
-        rc = gd * vol
-        for ax in range(d):
-            rc = np.flip(np.cumsum(np.flip(rc, ax), ax), ax)
-        corners = np.zeros(target.shape)
-        corners[(slice(0, -1),) * d] = rc
-        return corners
-
     gdot = ball_project(cell_density(g))
-    best = float(np.max(np.abs(target - box_integral(gdot))))
+    best = float(np.max(np.abs(target - _box_sum(gdot * vol))))
     best_hist = [best]
     for t in range(1, budget + 1):
-        resid = target - box_integral(gdot)
+        resid = target - _box_sum(gdot * vol)
         idx = np.unravel_index(int(np.argmax(np.abs(resid))), resid.shape)
         obj = abs(float(resid[idx]))
         if obj < best:

@@ -19,6 +19,18 @@ from .errors import ConfigurationError
 _TWO_PI = 2.0 * math.pi
 
 
+def _as_sample(sample) -> np.ndarray:
+    """A sample as an (n, d) float array; a 1-D array is n points in d = 1."""
+    sample = np.asarray(sample, float)
+    return sample[:, None] if sample.ndim == 1 else sample
+
+
+def _grid_points(axes) -> np.ndarray:
+    """The tensor grid of per-coordinate axes as (m, d) points, last axis fastest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Deterministic stream identity: the stream is a pure function of both
@@ -122,8 +134,12 @@ class Density:
         return np.zeros(self.dimension), np.ones(self.dimension)
 
     def pdf(self, x) -> np.ndarray:
-        """Density at points of shape (d,) or (n, d)."""
+        """Density at one point of shape (d,) (a float) or at points of
+        shape (n, d) (an array); other 1-D lengths and widths raise ValueError."""
         x = np.asarray(x, float)
+        if x.ndim > 2 or (x.ndim and x.shape[-1] != self.dimension):
+            raise ValueError(f"points must have shape (d,) or (n, d) with d = "
+                             f"{self.dimension}, got {x.shape}")
         single = x.ndim == 1
         pts = np.atleast_2d(x)
         out = np.zeros(len(pts))
@@ -174,9 +190,7 @@ class Density:
         if self.name == "uniform01":
             return 1.0
         n = 2049 if self.dimension == 1 else 257
-        axes = [np.linspace(lo[i], hi[i], n) for i in range(self.dimension)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = _grid_points([np.linspace(lo[i], hi[i], n) for i in range(self.dimension)])
         vals = self.pdf(pts)
         best = int(np.argmax(vals))
         x0 = pts[best]

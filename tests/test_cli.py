@@ -115,6 +115,14 @@ def test_bad_config_is_error(tmp_path):
     bad = dict(CFG1, n_grid=[16384, 4096])
     cfg = _write_cfg(tmp_path, bad)
     assert main(["validate", "--config", cfg]) == 2
+    # wrong types and out-of-range values: exit 2, never a traceback
+    malformed = [{"replications": "2"}, {"base_seed": -1}, {"base_seed": 2 ** 70},
+                 {"n_grid": [4096.0]}, {"h": [0.25, 0.75]}]
+    for i, change in enumerate(malformed):
+        cfg = _write_cfg(tmp_path, dict(CFG1, theorem=2, **change), f"bad{i}.json")
+        assert main(["validate", "--config", cfg]) == 2, change
+        out = str(tmp_path / f"bad{i}")
+        assert main(["theorem2", "--config", cfg, "--output", out]) == 2, change
 
 
 def test_malformed_json_is_error(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from wavedens.basis import build_family
-from wavedens.errors import ConfigurationError
-from wavedens.estimator import (evaluate, evaluate_kernel_form,
+from wavedens.errors import ConfigurationError, NumericalError
+from wavedens.estimator import (SupStatistic, evaluate, evaluate_kernel_form,
                                 expected_estimator, fit, make_grid,
                                 sup_deviation)
 from wavedens.sampling import SeedSpec, draw, make_density
@@ -140,6 +140,15 @@ def test_sup_deviation_errors():
     est = fit(basis, 2, sample)
     with pytest.raises(ConfigurationError):
         sup_deviation(est, den, grid, "lil")
+
+
+def test_sup_statistic_rejects_sup_below_inf():
+    # a raised error, not an assert, so the check survives python -O
+    grid = make_grid(((0.25,), (0.75,)), 2, "dyadic")
+    with pytest.raises(NumericalError):
+        SupStatistic(0.1, 0.2, np.array([0.5]), grid, "ratio")
+    with pytest.raises(NumericalError):
+        SupStatistic(float("nan"), 0.2, np.array([0.5]), grid, "ratio")
 
 
 def test_fit_errors():

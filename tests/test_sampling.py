@@ -110,3 +110,17 @@ def test_density_pdf_shapes():
     batch = den.pdf(np.full((7, 2), 0.5))
     assert batch.shape == (7,)
     assert abs(batch[0] - single) < 1e-15
+
+
+def test_density_pdf_rejects_other_point_shapes():
+    den1 = make_density("cosine_bump", 1)
+    with pytest.raises(ValueError):
+        den1.pdf(np.array([0.1, 0.2, 0.3]))  # was the product of three densities
+    assert isinstance(den1.pdf(np.array([0.1])), float)
+    assert den1.pdf(np.array([[0.1], [0.2], [0.3]])).shape == (3,)
+    assert den1.pdf(0.1).shape == (1,)
+    den2 = make_density("cosine_bump", 2)
+    for bad in (np.array([0.5]), np.array([0.5, 0.5, 0.5]), np.full((4, 3), 0.5),
+                np.full((2, 2, 2), 0.5)):
+        with pytest.raises(ValueError):
+            den2.pdf(bad)
