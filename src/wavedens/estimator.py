@@ -24,8 +24,10 @@ GRID_CAP = 4096
 @dataclass(frozen=True)
 class WaveletDensityEstimator:
     """Level-j projection estimator with sparse coefficients over occupied
-    shifts.  Internally the occupied k-box is stored densely for speed;
-    `coeffs` exposes the sparse map k -> alpha_hat."""
+    shifts.  Internally the occupied k-box is stored densely for speed: on
+    axis i it is [floor(min 2^j X_i) - (width - 1), floor(max 2^j X_i)],
+    starting at `origin`, the shifts that can be nonzero somewhere in the
+    sample's bounding box.  `coeffs` exposes the sparse map k -> alpha_hat."""
 
     basis: ScalingFunction
     level: int
@@ -49,21 +51,42 @@ class WaveletDensityEstimator:
         return float(self.table.sum() * 2.0 ** (-d * j / 2.0))
 
 
-def _for_each_shift(sf: ScalingFunction, xs: np.ndarray, visit):
-    """Call visit(k, prod_i phi(xs_i - k_i)) for each shift k = ceil(xs - b) +
-    offset whose support [k + a, k + b] can contain the points xs (rescaled
-    by 2^j, shape (m, d)).  A callback, not a generator: a generator's caller
-    keeps the previous (k, vals) alive while the next pair is built, which
-    costs two more n-sized arrays at peak and measurably slows fit."""
-    a, b = sf.support
-    m, d = xs.shape
-    k0 = np.ceil(xs - b)
-    for offs in itertools.product(range(int(b - a) + 1), repeat=d):
-        k = k0 + np.asarray(offs, float)
-        vals = np.ones(m)
-        for i in range(d):
-            vals = vals * eval_phi(sf, xs[:, i] - k[:, i])
-        visit(k, vals)
+def _for_each_shift(sf: ScalingFunction, xs: np.ndarray, origin: np.ndarray,
+                    shape: tuple, visit):
+    """Visit the shifts that can be nonzero at the points xs (rescaled by 2^j,
+    shape (m, d)).  phi is zero outside [0, width) and at width, so
+    phi(y - s) != 0 needs y - width < s <= y: per axis the width integers
+    from floor(y) - (width - 1).  These are the width^d shifts
+    s = floor(xs) - (width - 1) + offset, offset in [0, width)^d, visited in
+    ascending order (last axis fastest).  Each offset calls
+    visit(k, offset, start, base, vals):
+
+    - k = floor(xs) - (width - 1) - origin, the table index of the first
+      shift (int64, (m, d)), so s = origin + k + offset;
+    - base + start is the flat index of k + offset in a C-ordered table of
+      this shape; where base >= 0, as in fit, flat[start:][base] reaches
+      the cells without building an n-sized index array per offset;
+    - vals = prod_i phi(xs_i - s_i).
+
+    A callback, not a generator: a generator's caller keeps the previous
+    pair alive while the next one is built, which costs two more n-sized
+    arrays at peak and measurably slows fit."""
+    w = sf.width
+    d = xs.shape[1]
+    k = np.floor(xs, out=np.empty(xs.shape, np.int64), casting="unsafe")
+    k -= origin + (w - 1)
+    strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
+    base = k[:, -1]
+    for i in range(d - 1):
+        base = base + k[:, i] * strides[i]
+    for offset in itertools.product(range(w), repeat=d):
+        vals = None
+        for i, o in enumerate(offset):
+            arg = k[:, i] + float(origin[i] + o)  # the shift, an exact float
+            np.subtract(xs[:, i], arg, out=arg)
+            phi = eval_phi(sf, arg)
+            vals = phi if vals is None else vals * phi
+        visit(k, offset, int(np.dot(offset, strides)), base, vals)
 
 
 def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
@@ -75,23 +98,21 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     if n == 0:
         raise ValueError("empty sample")
     xs = sample * (2.0 ** j)
-    b = basis.support[1]  # the shifts visited span ceil(xs - b) + [0, width]
-    kmin = np.ceil(xs.min(axis=0) - b).astype(np.int64)
-    kmax = np.ceil(xs.max(axis=0) - b).astype(np.int64) + basis.width
-    shape = tuple(int(kmax[i] - kmin[i] + 1) for i in range(d))
-    table = np.zeros(shape)
+    lo, hi = xs.min(axis=0), xs.max(axis=0)  # NaN propagates to both
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("sample must be finite")
+    origin = np.floor(lo).astype(np.int64) - (basis.width - 1)
+    table = np.zeros(np.floor(hi).astype(np.int64) - origin + 1)
     flat = table.ravel()
-    strides = np.array([int(np.prod(shape[i + 1:])) for i in range(d)], dtype=np.int64)
 
-    def add(k, vals):
-        live = vals != 0.0
-        if np.any(live):
-            idx = ((k[live].astype(np.int64) - kmin) * strides).sum(axis=1)
-            np.add.at(flat, idx, vals[live])
+    def add(k, offset, start, base, vals):
+        # np.add.at adds in sample order; a per-offset np.bincount sums in
+        # another order and moves smooth-basis coefficients by ulps.
+        np.add.at(flat[start:], base, vals)
 
-    _for_each_shift(basis, xs, add)
+    _for_each_shift(basis, xs, origin, table.shape, add)
     table *= 2.0 ** (d * j / 2.0) / n
-    return WaveletDensityEstimator(basis, j, n, d, kmin, table)
+    return WaveletDensityEstimator(basis, j, n, d, origin, table)
 
 
 def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
@@ -101,21 +122,20 @@ def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
     pts = np.atleast_2d(x) if x.ndim <= 1 else x
     if pts.shape[-1] != est.dimension:
         raise ValueError("point dimension mismatch")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     d, j = est.dimension, est.level
-    xs = pts * (2.0 ** j)
     shape = est.table.shape
-    strides = np.array([int(np.prod(shape[i + 1:])) for i in range(d)], dtype=np.int64)
     flat = est.table.ravel()
     out = np.zeros(len(pts))
 
-    def add(k, vals):
-        ki = k.astype(np.int64) - est.origin
-        inside = np.all((ki >= 0) & (ki < np.asarray(shape)), axis=1)
-        live = inside & (vals != 0.0)
-        if np.any(live):
-            out[live] += flat[(ki[live] * strides).sum(axis=1)] * vals[live]
+    def add(k, offset, start, base, vals):
+        # alpha_hat is 0 outside the fitted box
+        ks = k + offset
+        inside = np.all((ks >= 0) & (ks < shape), axis=1)
+        out[:] += flat.take(base + start, mode="clip") * vals * inside
 
-    _for_each_shift(est.basis, xs, add)
+    _for_each_shift(est.basis, pts * (2.0 ** j), est.origin, shape, add)
     out *= 2.0 ** (d * j / 2.0)
     return float(out[0]) if single else out
 
@@ -151,13 +171,18 @@ def _axis_quadrature(basis, j, xi, marginal, step):
 
 
 def expected_estimator(density: Density, basis: ScalingFunction, j: int, x) -> float:
-    """E fhat(x) = integral of K_j(x, .) f by composite midpoint quadrature.
+    """E fhat(x) = integral of K_j(x, .) f by composite midpoint quadrature,
+    at one point x of shape (d,) (or a scalar when d = 1).
 
     Separability of both the tensor kernel and the mixture components
     reduces the integral to per-axis quadratures; a step-halving check
     guards convergence.
     """
-    x = np.atleast_1d(np.asarray(x, float))
+    x = np.asarray(x, float)
+    if x.ndim > 1 or x.size != density.dimension:
+        raise ValueError(f"point must have shape (d,) with d = "
+                         f"{density.dimension}, got {x.shape}")
+    x = np.atleast_1d(x)
     step = 2.0 ** -max(j + 10, 15)
     results = []
     for s in (step, step / 2.0):

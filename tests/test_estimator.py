@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavedens.basis import build_family
 from wavedens.errors import ConfigurationError, NumericalError
@@ -156,3 +158,75 @@ def test_fit_errors():
         fit(build_family("haar"), -1, np.array([[0.5]]))
     with pytest.raises(ValueError):
         fit(build_family("haar"), 2, np.empty((0, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_and_evaluate_reject_non_finite(bad):
+    basis = build_family("db4")
+    with pytest.raises(ValueError, match="finite"):
+        fit(basis, 3, np.array([[0.2, 0.4], [bad, 0.5]]))
+    est = fit(basis, 3, np.array([[0.2, 0.4], [0.6, 0.5]]))
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(est, np.array([0.3, bad]))
+
+
+def test_expected_estimator_rejects_other_point_shapes():
+    # a d = 1 density at two coordinates used to return E fhat(.3) E fhat(.5)
+    den = make_density("uniform01", 1)
+    basis = build_family("haar")
+    for x in (np.array([0.3, 0.5]), np.array([[0.3], [0.5]]), np.array([[0.3]])):
+        with pytest.raises(ValueError, match="shape"):
+            expected_estimator(den, basis, 4, x)
+    with pytest.raises(ValueError, match="shape"):
+        expected_estimator(make_density("uniform01", 2), basis, 4, 0.3)
+    assert expected_estimator(den, basis, 4, np.array([0.3])) == \
+        expected_estimator(den, basis, 4, 0.3)
+
+
+SHIFT_BASES = {name: build_family(name) for name in ("haar", "db4", "db6")}
+
+
+@st.composite
+def _fit_cases(draw_):
+    """A basis, dimension, level, a sample whose coordinates are often on the
+    level-j lattice (0 and 1 included), and query points: lattice points,
+    cell midpoints and points up to width + 2 cells outside [0, 1]."""
+    name = draw_(st.sampled_from(sorted(SHIFT_BASES)))
+    d = draw_(st.integers(1, 2))
+    j = draw_(st.integers(0, 4))
+    cells = 2 ** j
+    lattice = st.integers(0, cells).map(lambda m: m / cells)
+    coord = st.one_of(lattice, st.floats(0.0, 1.0))
+    sample = draw_(st.lists(st.lists(coord, min_size=d, max_size=d),
+                            min_size=1, max_size=12))
+    reach = SHIFT_BASES[name].width + 2
+    query = st.integers(-reach, cells + reach).flatmap(
+        lambda m: st.sampled_from([m / cells, (m + 0.5) / cells]))
+    points = draw_(st.lists(st.lists(query, min_size=d, max_size=d),
+                            min_size=1, max_size=6))
+    return name, d, j, np.array(sample), np.array(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fit_cases())
+def test_shift_loop_matches_kernel_form_and_histogram(case):
+    name, d, j, sample, points = case
+    basis = SHIFT_BASES[name]
+    est = fit(basis, j, sample)
+    fhat = evaluate(est, points)
+    # no shift that is nonzero at a sample point reaches a point this far
+    # outside the sample's bounding box
+    gap = basis.width / 2.0 ** j
+    far = np.any((points >= sample.max(axis=0) + gap)
+                 | (points <= sample.min(axis=0) - gap), axis=1)
+    assert np.all(fhat[far] == 0.0)
+    for x, value in zip(points, fhat):
+        assert abs(value - evaluate_kernel_form(basis, j, sample, x)) < 1e-10
+    if name == "haar":
+        n = len(sample)
+        cells, counts = np.unique(np.floor(sample * 2.0 ** j).astype(int),
+                                  axis=0, return_counts=True)
+        # the same scaling fit applies to the exact cell counts
+        scale = 2.0 ** (d * j / 2.0) / n
+        assert est.coeffs == {tuple(int(c) for c in cell): float(count * scale)
+                              for cell, count in zip(cells, counts)}
