@@ -132,11 +132,10 @@ def eval_phi(sf: ScalingFunction, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    out = np.zeros_like(x)
     if sf.interp == "left":
-        inside = (x >= a) & (x < b)
-        out[inside] = 1.0
+        out = ((x >= a) & (x < b)).astype(float)
     else:
+        out = np.zeros_like(x)
         inside = (x >= a) & (x <= b)
         t = (x[inside] - a) * (1 << sf.table_depth)
         i0 = np.floor(t).astype(np.int64)

@@ -19,6 +19,7 @@ from .kernel import ProjectionKernel, kernel_Kj_batch
 from .sampling import Density, _as_sample, _grid_points
 
 GRID_CAP = 4096
+_QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,27 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     return WaveletDensityEstimator(basis, j, n, d, origin, table)
 
 
+def _table_sum(basis: ScalingFunction, j: int, origin: np.ndarray,
+               table: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum_k table[k - origin] prod_i phi(2^j x_i - k_i) at finite points of
+    shape (m, d); the table is 0 outside its box."""
+    shape = table.shape
+    flat = table.ravel()
+    out = np.zeros(len(pts))
+    # Points farther than width outside the box meet no table shift; clipping
+    # them there keeps the int64 floor of the shift loop in range.
+    w = basis.width
+    xs = np.clip(pts * (2.0 ** j), origin - w, origin + np.array(shape) + w)
+
+    def add(k, offset, start, base, vals):
+        ks = k + offset
+        inside = np.all((ks >= 0) & (ks < shape), axis=1)
+        out[:] += flat.take(base + start, mode="clip") * vals * inside
+
+    _for_each_shift(basis, xs, origin, shape, add)
+    return out
+
+
 def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
     """fhat at points of shape (d,) or (m, d): sum_k alpha_hat phi_{j,k}."""
     x = np.asarray(x, float)
@@ -125,17 +147,7 @@ def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     d, j = est.dimension, est.level
-    shape = est.table.shape
-    flat = est.table.ravel()
-    out = np.zeros(len(pts))
-
-    def add(k, offset, start, base, vals):
-        # alpha_hat is 0 outside the fitted box
-        ks = k + offset
-        inside = np.all((ks >= 0) & (ks < shape), axis=1)
-        out[:] += flat.take(base + start, mode="clip") * vals * inside
-
-    _for_each_shift(est.basis, pts * (2.0 ** j), est.origin, shape, add)
+    out = _table_sum(est.basis, j, est.origin, est.table, pts)
     out *= 2.0 ** (d * j / 2.0)
     return float(out[0]) if single else out
 
@@ -149,53 +161,104 @@ def evaluate_kernel_form(basis: ScalingFunction, j: int, sample, x) -> float:
     return float(kernel_Kj_batch(pk, j, xx, sample).sum() / n)
 
 
-def _axis_quadrature(basis, j, xi, marginal, step):
-    """1-D midpoint quadrature of 2^j K1(2^j xi, 2^j y) m(y) over supp.
+def _mass_vectors(density: Density, basis: ScalingFunction, j: int,
+                  step: float | None, k0: int, k1: int) -> list:
+    """(w_c, v_c) per mixture component, with
+    v_c[k - k0] = 2^j integral phi(2^j y - k) m_c(y) dy for the shifts
+    k0 <= k <= k1 (within [-(width - 1), 2^j - 1], those that meet [0, 1]):
+    the 1-D population coefficients in mass form (2^j, not 2^(j/2) on each
+    side, so that the uniform density gives exactly 1).  Only the level-j
+    cells [r, r + 1) 2^-j of [0, 1] that these shifts meet are visited, and
+    an entry does not depend on the range asked for.
 
-    Nodes sit on the absolute lattice (i + 1/2) * step with step a dyadic
-    fraction, so every kernel discontinuity (at y in 2^-j Z, e.g. Haar
-    cells) and the support edges 0, 1 land on subinterval boundaries and
-    the rule converges at the smooth-integrand rate.
+    step None is exact from the CDF, for the Haar indicator.  Otherwise the
+    midpoint rule runs on the absolute lattice (i + 1/2) * step; step is a
+    dyadic fraction, so the cell edges 2^-j Z, where phi(2^j y - k) has its
+    kinks, and the support edges 0, 1 land on subinterval boundaries.  Row r
+    of the nodes reshaped to (cells, M) is cell r; with the values
+    phi(o + t) at the M in-cell offsets t it adds to shift r - o.
     """
+    scale = 2.0 ** j
     w = basis.width
-    lo = max((2.0 ** j * xi - w) / 2.0 ** j, 0.0)
-    hi = min((2.0 ** j * xi + w) / 2.0 ** j, 1.0)
-    if hi <= lo:
-        return 0.0
-    i0 = int(np.floor(lo / step))
-    i1 = int(np.ceil(hi / step))
-    ys = (np.arange(i0, i1) + 0.5) * step
-    pk1 = ProjectionKernel(basis, 1)
-    kv = kernel_Kj_batch(pk1, j, np.full((len(ys), 1), xi), ys[:, None])
-    return float(np.sum(kv * marginal.pdf(ys)) * step)
+    c0, c1 = max(0, k0), min(1 << j, k1 + w)  # the cells met
+    if step is None:
+        edges = np.arange(c0, c1 + 1) / scale
+        return [(wgt, scale * np.diff(m.cdf(edges))) for wgt, m in density.components]
+    per_cell = round(1.0 / (scale * step))
+    t = (np.arange(per_cell) + 0.5) / per_cell
+    phi = eval_phi(basis, np.arange(w)[:, None] + t)  # (w, M), exact arguments
+    rows = max(1, _QUADRATURE_CHUNK // per_cell)
+    pad = c0 - (w - 1)  # the shift of v[0]: the first one cell c0 meets
+    out = []
+    for wgt, m in density.components:
+        v = np.zeros(c1 - pad)
+        for a in range(c0, c1, rows):
+            b = min(a + rows, c1)
+            ys = (np.arange(a * per_cell, b * per_cell) + 0.5) * step
+            pdf = m.pdf(ys).reshape(b - a, per_cell)
+            for o in range(w):
+                v[a - o - pad:b - o - pad] += (pdf * phi[o]).sum(axis=1)
+        out.append((wgt, v[k0 - pad:k1 + 1 - pad] * (scale * step)))
+    return out
+
+
+def _expected_at(density: Density, basis: ScalingFunction, j: int,
+                 pts: np.ndarray) -> np.ndarray:
+    """E fhat at points of shape (m, d).
+
+    E fhat(x) = sum_k alpha_{j,k} phi_{j,k}(x) with the population
+    coefficients alpha_{j,k} = integral phi_{j,k} f.  Both the tensor basis
+    and the mixture components are separable, so
+    E fhat(x) = sum_c w_c prod_i sum_k phi(2^j x_i - k) v_c[k] with one 1-D
+    vector v_c per component (`_mass_vectors`) over the shifts the points'
+    coordinates reach.  Haar is exact; for smooth bases a step-halving check
+    guards the quadrature.
+    """
+    if j < 0:
+        raise ConfigurationError("level j must be >= 0")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    d = density.dimension
+    w = basis.width
+    coords = pts.reshape(-1, 1)
+    if len(coords) == 0:
+        return np.zeros(len(pts))
+    # the shifts at y are floor(y) - (w - 1) .. floor(y); those that meet
+    # [0, 1] lie in [-(w - 1), 2^j - 1]
+    scaled = coords * 2.0 ** j
+    k0 = int(np.clip(np.floor(scaled.min()) - (w - 1), 1 - w, 1 << j))
+    k1 = int(np.clip(np.floor(scaled.max()), -w, (1 << j) - 1))
+    if k1 < k0:
+        return np.zeros(len(pts))
+    origin = np.array([k0])
+
+    def at(step):
+        total = 0.0
+        for wgt, v in _mass_vectors(density, basis, j, step, k0, k1):
+            per_axis = _table_sum(basis, j, origin, v, coords).reshape(-1, d)
+            prod = wgt
+            for i in range(d):
+                prod = prod * per_axis[:, i]
+            total = total + prod
+        return total
+
+    if basis.interp == "left":
+        return at(None)
+    step = 2.0 ** -max(j + 10, 15)
+    coarse, fine = at(step), at(step / 2.0)
+    if np.any(np.abs(fine - coarse) > 1e-7):
+        raise NumericalError("expected_estimator quadrature did not converge")
+    return fine
 
 
 def expected_estimator(density: Density, basis: ScalingFunction, j: int, x) -> float:
-    """E fhat(x) = integral of K_j(x, .) f by composite midpoint quadrature,
-    at one point x of shape (d,) (or a scalar when d = 1).
-
-    Separability of both the tensor kernel and the mixture components
-    reduces the integral to per-axis quadratures; a step-halving check
-    guards convergence.
-    """
+    """E fhat(x) = integral of K_j(x, .) f at one point x of shape (d,) (or a
+    scalar when d = 1); `_expected_at` evaluates many points at once."""
     x = np.asarray(x, float)
     if x.ndim > 1 or x.size != density.dimension:
         raise ValueError(f"point must have shape (d,) with d = "
                          f"{density.dimension}, got {x.shape}")
-    x = np.atleast_1d(x)
-    step = 2.0 ** -max(j + 10, 15)
-    results = []
-    for s in (step, step / 2.0):
-        total = 0.0
-        for wgt, marginal in density.components:
-            prod = wgt
-            for xi in x:
-                prod *= _axis_quadrature(basis, j, float(xi), marginal, s)
-            total += prod
-        results.append(total)
-    if abs(results[1] - results[0]) > 1e-7:
-        raise NumericalError("expected_estimator quadrature did not converge")
-    return results[1]
+    return float(_expected_at(density, basis, j, x.reshape(1, -1))[0])
 
 
 @dataclass(frozen=True)
@@ -279,8 +342,7 @@ def sup_deviation(est: WaveletDensityEstimator, density: Density,
         if j == 0:
             raise ValueError("theorem1 normalization undefined at j = 0 (log 1 = 0)")
         if expected is None:
-            expected = np.array([expected_estimator(density, est.basis, j, p)
-                                 for p in grid.points])
+            expected = _expected_at(density, est.basis, j, grid.points)
         norm = np.sqrt(n * 2.0 ** (-d * j) / (2.0 * f * (d * j) * np.log(2.0)))
         dev = norm * (fhat - np.asarray(expected, float))
     elif mode == "ratio":

@@ -19,8 +19,7 @@ import numpy as np
 
 from .basis import build_family
 from .errors import ConfigurationError
-from .estimator import (EvaluationGrid, expected_estimator, fit, make_grid,
-                        sup_deviation)
+from .estimator import _expected_at, fit, make_grid, sup_deviation
 from .kernel import ProjectionKernel, localize
 from .limitsets import theorem2_threshold
 from .sampling import SeedSpec, draw, make_density
@@ -187,8 +186,7 @@ def _run_pairs(config: ExperimentConfig, density, basis, mode: str) -> dict:
         grid = make_grid(config.h, j, config.grid)
         expected = None
         if mode == "theorem1":
-            expected = np.array([expected_estimator(density, basis, j, p)
-                                 for p in grid.points])
+            expected = _expected_at(density, basis, j, grid.points)
         info = {"level": j, "ratio": realized_ratio(config.schedule, n),
                 "grid_size": len(grid)}
 

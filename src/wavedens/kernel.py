@@ -38,9 +38,11 @@ def _kernel1(sf: ScalingFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     a, b = sf.support
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     out = np.zeros(x.shape)
-    k0 = np.ceil(np.maximum(x, y) - b)
-    # shared shifts k satisfy max(x,y)-b <= k <= min(x,y)-a
-    for off in range(int(b - a) + 1):
+    # phi(t) != 0 needs a <= t < b, so a shared shift k has
+    # max(x, y) - b < k <= min(x, y) - a: at most the b - a integers
+    # from floor(max(x, y)) - (b - 1)
+    k0 = np.floor(np.maximum(x, y)) - (b - 1)
+    for off in range(int(b - a)):
         k = k0 + off
         out += eval_phi(sf, x - k) * eval_phi(sf, y - k)
     return out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 
 from wavedens.basis import build_family
 from wavedens.errors import ConfigurationError, NumericalError
-from wavedens.estimator import (SupStatistic, evaluate, evaluate_kernel_form,
-                                expected_estimator, fit, make_grid,
-                                sup_deviation)
-from wavedens.sampling import SeedSpec, draw, make_density
+from wavedens.estimator import (SupStatistic, _expected_at, evaluate,
+                                evaluate_kernel_form, expected_estimator, fit,
+                                make_grid, sup_deviation)
+from wavedens.kernel import ProjectionKernel, kernel_Kj_batch
+from wavedens.sampling import Density, SeedSpec, draw, make_density
 
 
 def _histogram_fhat(sample, j, x):
@@ -181,6 +184,97 @@ def test_expected_estimator_rejects_other_point_shapes():
         expected_estimator(make_density("uniform01", 2), basis, 4, 0.3)
     assert expected_estimator(den, basis, 4, np.array([0.3])) == \
         expected_estimator(den, basis, 4, 0.3)
+
+
+def test_evaluate_far_points_are_zero_without_warnings():
+    # 2^j |x| >= 2^63 used to overflow the int64 floor of the shift loop
+    far = [2.0 ** 60, -2.0 ** 60, 1e300, -1e300]
+    for fam, d in (("haar", 1), ("db4", 2)):
+        basis = build_family(fam)
+        est = fit(basis, 4, draw(make_density("cosine_bump", d), SeedSpec(3), 200))
+        pts = np.array([[v] * d for v in far] + [[0.5] * d])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = evaluate(est, pts)
+            efhat = _expected_at(make_density("uniform01", d), basis, 3, pts)
+        assert np.all(out[:-1] == 0.0) and out[-1] == evaluate(est, pts[-1]) != 0.0
+        assert np.all(efhat[:-1] == 0.0) and efhat[-1] > 0.5
+
+
+DENSITIES = ("uniform01", "cosine_bump", "trunc_gauss_mix")
+
+
+@pytest.mark.parametrize("fam", ["haar", "db4", "db6"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_expected_batch_equals_per_point(fam, d):
+    # the population coefficients are only built over the shifts the points
+    # reach, so one point and the whole batch use different ranges
+    basis = build_family(fam)
+    rng = np.random.default_rng(d)
+    pts = np.vstack([rng.uniform(-0.1, 1.1, (8, d)),
+                     make_grid(([0.0] * d, [1.0] * d), 1).points])
+    for name in DENSITIES:
+        den = make_density(name, d)
+        for j in (1, 3):
+            batch = _expected_at(den, basis, j, pts)
+            assert np.array_equal(
+                batch, [expected_estimator(den, basis, j, p) for p in pts])
+
+
+@pytest.mark.parametrize("fam", ["db4", "db6"])
+def test_expected_estimator_smooth_matches_kernel_form_quadrature(fam):
+    # integral K_j(x, y) f(y) dy by a midpoint sum over kernel_Kj_batch on the
+    # finer of the two quadrature lattices
+    basis = build_family(fam)
+    pk = ProjectionKernel(basis, 1)
+    xs = np.array([0.0, 0.03, 0.3, 0.5, 0.71, 0.999, 1.0, 1.05])
+    for name in ("cosine_bump", "trunc_gauss_mix"):
+        den = make_density(name, 1)
+        for j in (1, 3):
+            step = 2.0 ** -max(j + 10, 15) / 2.0
+            ys = (np.arange(round(1.0 / step)) + 0.5)[:, None] * step
+            fy = den.pdf(ys)
+            for x in xs:
+                kv = kernel_Kj_batch(pk, j, np.full(ys.shape, x), ys)
+                ref = float(np.sum(kv * fy) * step)
+                assert abs(expected_estimator(den, basis, j, x) - ref) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_expected_estimator_haar_is_the_cell_probability(d):
+    basis = build_family("haar")
+    rng = np.random.default_rng(7)
+    for name in ("cosine_bump", "trunc_gauss_mix"):
+        den = make_density(name, d)
+        for j in (1, 4, 9):
+            for x in rng.uniform(0, 1, (10, d)):
+                lo = np.floor(x * 2 ** j) / 2 ** j
+                cell = 2.0 ** (d * j) * den.box_prob(lo, lo + 2.0 ** -j)
+                assert abs(expected_estimator(den, basis, j, x) - cell) < 1e-14
+
+
+def test_expected_estimator_haar_uniform_is_exactly_one_at_odd_levels():
+    # a 2^(j/2) * 2^(j/2) split of the 2^j mass factor gives 1 + 2^-52 here
+    den = make_density("uniform01", 1)
+    basis = build_family("haar")
+    for j in (7, 9, 11):
+        assert expected_estimator(den, basis, j, 0.3) == 1.0
+
+
+class _Aliased:
+    """Marginal 1 + 0.5 cos(2 pi 2^15 y): 0.5 at every node (i + 1/2) 2^-15
+    and 1 at every node of the half step, so the two sums disagree."""
+
+    def pdf(self, y):
+        y = np.asarray(y, float)
+        inside = (y >= 0.0) & (y <= 1.0)
+        return np.where(inside, 1.0 + 0.5 * np.cos(2.0 * np.pi * 2.0 ** 15 * y), 0.0)
+
+
+def test_expected_estimator_smooth_quadrature_guard_raises():
+    den = Density("aliased", 1, ((1.0, _Aliased()),))
+    with pytest.raises(NumericalError):
+        expected_estimator(den, build_family("db4"), 3, 0.5)
 
 
 SHIFT_BASES = {name: build_family(name) for name in ("haar", "db4", "db6")}
