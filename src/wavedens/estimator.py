@@ -9,6 +9,7 @@ is provided as an algebraically identical cross-check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,8 @@ from .sampling import Density, _as_sample, _grid_points
 
 GRID_CAP = 4096
 _QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
+_MAX_TABLE_CELLS = 1 << 28  # largest coefficient box fit allocates (2 GiB)
+_MAX_SHIFT = 2.0 ** 62  # |2^j x| bound that keeps the int64 shift arithmetic exact
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,10 @@ def _for_each_shift(sf: ScalingFunction, xs: np.ndarray, origin: np.ndarray,
 
 
 def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
-    """Empirical scaling coefficients alpha_hat_{j,k} = (1/n) sum_i phi_{j,k}(X_i)."""
+    """Empirical scaling coefficients alpha_hat_{j,k} = (1/n) sum_i phi_{j,k}(X_i).
+
+    Raises ValueError for an empty or non-finite sample, and for one whose
+    k-box would exceed _MAX_TABLE_CELLS cells or reach |2^j x| >= 2^62."""
     if j < 0:
         raise ConfigurationError("level j must be >= 0")
     sample = _as_sample(sample)
@@ -102,6 +108,15 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     lo, hi = xs.min(axis=0), xs.max(axis=0)  # NaN propagates to both
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("sample must be finite")
+    # Size the k-box from the float bounds, before any int64 cast, so that a
+    # far outlier fails here rather than in the cast or the allocation.
+    cells = math.prod(float(b) // 1.0 - float(a) // 1.0 + basis.width
+                      for a, b in zip(lo, hi))  # Python floats overflow to inf quietly
+    if cells > _MAX_TABLE_CELLS:
+        raise ValueError(f"sample spans {cells:.4g} coefficient cells at level "
+                         f"j={j}, more than the {_MAX_TABLE_CELLS} fit allocates")
+    if max(np.max(-lo), np.max(hi)) >= _MAX_SHIFT:
+        raise ValueError(f"sample reaches |2^j x| >= 2^62 at level j={j}")
     origin = np.floor(lo).astype(np.int64) - (basis.width - 1)
     table = np.zeros(np.floor(hi).astype(np.int64) - origin + 1)
     flat = table.ravel()

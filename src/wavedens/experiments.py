@@ -44,8 +44,8 @@ class ResolutionSchedule:
                 raise ConfigurationError("CRS schedule needs gamma in (0, 1)")
         elif self.regime == "ER":
             c = self.params.get("c")
-            if not isinstance(c, numbers.Real) or c <= 0.0:
-                raise ConfigurationError("ER schedule needs c > 0")
+            if not (isinstance(c, numbers.Real) and 0.0 < c < math.inf):
+                raise ConfigurationError("ER schedule needs a finite c > 0")
         else:
             raise ConfigurationError(f"unknown schedule regime {self.regime!r}")
 
@@ -105,12 +105,19 @@ class ExperimentConfig:
         lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in self.h)
         if len(lo) != self.dimension or len(hi) != self.dimension:
             raise ConfigurationError("H must have one (lo, hi) pair per dimension")
-        if np.any(lo >= hi) or np.any(lo < 0.0) or np.any(hi > 1.0):
+        if not np.all((0.0 <= lo) & (lo < hi) & (hi <= 1.0)):  # NaN fails too
             raise ConfigurationError("H must be a nondegenerate box inside [0, 1]^d")
         if self.schedule.dimension != self.dimension:
             raise ConfigurationError("schedule dimension mismatch")
         if self.theorem == 1 and self.schedule.regime != "CRS":
             raise ConfigurationError("theorem 1 requires the CRS regime")
+        if self.grid not in ("dyadic", "uniform"):
+            raise ConfigurationError(f"unknown grid kind {self.grid!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigurationError("output must be a path string")
+        rt = self.ratio_threshold
+        if rt is not None and not (isinstance(rt, numbers.Real) and 0.0 < rt < math.inf):
+            raise ConfigurationError("ratio_threshold must be a positive number")
         return make_density(self.density, self.dimension), build_family(self.basis)
 
     def to_dict(self) -> dict:
@@ -133,12 +140,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict) or not isinstance(data["schedule"], dict):
+            raise ConfigurationError("the config and its schedule must be JSON objects")
         sched = dict(data["schedule"])
         regime = sched.pop("regime")
         schedule = ResolutionSchedule(regime, sched, data["dimension"])
         h = data["h"]
-        if not (isinstance(h, list) and len(h) == 2 and all(isinstance(v, list) for v in h)):
-            raise ConfigurationError("h must be [lo, hi] with one bound list each")
+        if not (isinstance(h, list) and len(h) == 2 and all(
+                isinstance(v, list) and all(isinstance(b, numbers.Real) for b in v)
+                for v in h)):
+            raise ConfigurationError("h must be [lo, hi] with one list of numbers each")
+        if not isinstance(data["n_grid"], list):
+            raise ConfigurationError("n_grid must be a list")
         return cls(
             theorem=data["theorem"],
             density=data["density"],

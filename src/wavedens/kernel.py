@@ -154,7 +154,11 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
         raise ConfigurationError(f"center has {x.size} coordinates, kernel is {d}-dimensional")
     axes = _corner_axes(pk.domain_halfwidth, grid_step, d)
     z = (2.0 ** j) * x
-    vals = kernel_K_batch(pk, z, z + _grid_points(axes)).reshape((len(axes[0]),) * d)
+    # K factors over coordinates: the outer product of the d 1-D sections has
+    # the bits of kernel_K_batch on the full lattice, for the cost of d sections
+    vals = _kernel1(pk.basis, z[0], z[0] + axes[0])
+    for i in range(1, d):
+        vals = np.multiply.outer(vals, _kernel1(pk.basis, z[i], z[i] + axes[i]))
     lower = vals[(slice(0, -1),) * d]
     sigma = float(np.sqrt(np.sum(lower ** 2) * grid_step ** d))
     if d == 1:

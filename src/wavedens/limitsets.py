@@ -41,6 +41,14 @@ def h_poisson(t):
     t = np.asarray(t, float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
+    if t.size and t.min() > 0.0:
+        # all positive (min is NaN if any entry is): the masked path's
+        # values without its masks and copies
+        out = np.log(t)
+        out *= t
+        out -= t
+        out += 1.0
+        return float(out[0]) if scalar else out
     out = np.full(t.shape, np.inf)
     pos = t > 0.0
     tp = t[pos]
@@ -124,12 +132,23 @@ def _gamma_endpoint(kv: np.ndarray, vol: float, budget: float, sign: float):
     lower endpoint with gdot = exp(-K/eta); eta > 0 found by bisection on
     the (monotone) cost curve.
     """
+    # fl(k / eta) is monotone in k, so the clip binds iff it binds at max|K|
+    kmax = float(np.max(np.abs(kv)))
+    # eta -> cost, floats only: brentq's wrapper keeps what its callable
+    # captures alive until the cyclic GC runs
+    costs = {}
 
     def gdot_of(eta):
-        return np.exp(np.clip(sign * kv / eta, -_EXP_CLIP, _EXP_CLIP))
+        z = kv / (sign * eta)  # the bits of sign * kv / eta, as sign = +-1
+        if not kmax / eta <= _EXP_CLIP:
+            np.clip(z, -_EXP_CLIP, _EXP_CLIP, out=z)
+        return np.exp(z, out=z)
 
     def cost(eta):
-        return float(np.sum(h_poisson(gdot_of(eta))) * vol)
+        c = costs.get(eta)
+        if c is None:
+            c = costs[eta] = float(np.sum(h_poisson(gdot_of(eta))) * vol)
+        return c
 
     if sign < 0:
         # objective is minimized at gdot = 0 on {K > 0} when that is feasible

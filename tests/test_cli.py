@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wavedens.cli import main
 
@@ -129,3 +131,60 @@ def test_malformed_json_is_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["validate", "--config", str(path)]) == 2
+
+
+def test_validate_rejects_values_the_run_cannot_use(tmp_path):
+    # each of these used to print "config ok" and fail or crash in the run
+    bad = [{"h": [[float("nan")], [0.75]]},
+           {"schedule": {"regime": "ER", "c": float("nan")}},
+           {"schedule": {"regime": "ER", "c": float("inf")}},
+           {"grid": "hexagonal"}, {"output": 3}, {"ratio_threshold": "0.25"},
+           {"h": [[None], [0.75]]}, {"n_grid": 4096}, {"schedule": 1}]
+    for i, change in enumerate(bad):
+        cfg = _write_cfg(tmp_path, dict(CFG1, theorem=2, **change), f"bad{i}.json")
+        assert main(["validate", "--config", cfg]) == 2, change
+    assert main(["validate", "--config", _write_cfg(tmp_path, [CFG1])]) == 2
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+# field values near the valid ones, so that fuzzing reaches the later checks
+_NEAR = {
+    "theorem": st.sampled_from([1, 2, 3, 1.0, "1"]),
+    "density": st.sampled_from(["uniform01", "cosine_bump", "nope", ""]),
+    "dimension": st.sampled_from([0, 1, 2, 1.5, -1, True]),
+    "basis": st.sampled_from(["haar", "db4", "db6", "db9"]),
+    "h": st.lists(st.lists(st.floats(-1.0, 2.0) | st.integers(-1, 2) | st.none(),
+                           max_size=3), max_size=3),
+    "schedule": st.fixed_dictionaries(
+        {"regime": st.sampled_from(["CRS", "ER", "crs", 1])},
+        optional={"gamma": _JSON | st.floats(), "c": _JSON | st.floats()}),
+    "n_grid": st.lists(st.integers(-5, 2 ** 20) | st.floats(), max_size=4),
+    "replications": st.integers(-2, 5) | st.floats(),
+    "base_seed": st.integers(-2, 2 ** 65),
+}
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON)
+    data = dict(CFG1)
+    for key in draw(st.lists(st.sampled_from(sorted(_NEAR)), max_size=4)):
+        if draw(st.booleans()):
+            data[key] = draw(_NEAR[key] | _JSON)
+        else:
+            data.pop(key, None)
+    return data
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_fuzzed_configs())
+def test_fuzzed_configs_validate_to_0_or_2(tmp_path, data):
+    cfg = _write_cfg(tmp_path, data)
+    assert main(["validate", "--config", cfg]) in (0, 2)

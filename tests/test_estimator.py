@@ -173,6 +173,19 @@ def test_fit_and_evaluate_reject_non_finite(bad):
         evaluate(est, np.array([0.3, bad]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_rejects_far_outliers_before_allocating():
+    # used to raise MemoryError (7.28 PiB) and an invalid int64 cast
+    basis = build_family("haar")
+    for far in (1e12, 1e300):
+        with pytest.raises(ValueError, match=r"coefficient cells at level j=10"):
+            fit(basis, 10, np.array([0.5, far]))
+    # one far point spans few cells but is past the int64 shift range
+    with pytest.raises(ValueError, match=r"2\^62 at level j=10"):
+        fit(basis, 10, np.array([1e300, 1e300]))
+    assert fit(basis, 10, np.array([0.5, 100.0])).table.size == 102400 - 511
+
+
 def test_expected_estimator_rejects_other_point_shapes():
     # a d = 1 density at two coordinates used to return E fhat(.3) E fhat(.5)
     den = make_density("uniform01", 1)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavedens.errors import ConfigurationError
 from wavedens.experiments import (ExperimentConfig, ResolutionSchedule,
@@ -62,6 +64,43 @@ def test_schedule_validation():
 def test_config_roundtrip():
     cfg = _config()
     again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again.to_dict() == cfg.to_dict()
+
+
+@st.composite
+def _configs(draw):
+    d = draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        schedule = ResolutionSchedule("CRS", {"gamma": draw(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))}, d)
+    else:
+        schedule = ResolutionSchedule("ER", {"c": draw(
+            st.floats(0.0, 1e6, exclude_min=True))}, d)
+    bounds = st.tuples(*[finite] * d)
+    return ExperimentConfig(
+        theorem=draw(st.sampled_from([1, 2])),
+        density=draw(st.sampled_from(["uniform01", "cosine_bump", "trunc_gauss_mix"])),
+        dimension=d,
+        basis=draw(st.sampled_from(["haar", "db4", "db6"])),
+        h=(draw(bounds), draw(bounds)),
+        schedule=schedule,
+        n_grid=tuple(draw(st.lists(st.integers(4, 2 ** 40), min_size=1,
+                                   max_size=4, unique=True).map(sorted))),
+        replications=draw(st.integers(1, 1000)),
+        base_seed=draw(st.integers(0, 2 ** 64 - 1)),
+        grid=draw(st.sampled_from(["dyadic", "uniform"])),
+        output=draw(st.none() | st.text(max_size=8)),
+        ratio_threshold=draw(st.none() | finite),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_config_json_roundtrip_property(cfg):
+    data = json.loads(json.dumps(cfg.to_dict()))
+    again = ExperimentConfig.from_dict(data)
+    assert again == cfg
     assert again.to_dict() == cfg.to_dict()
 
 

@@ -8,6 +8,7 @@ from wavedens.errors import ConfigurationError
 from wavedens.kernel import (LocalizedKernel, ProjectionKernel,
                              cell_lower_corners, dyadic_centers, kernel_K,
                              kernel_K_batch, kernel_Kj, localize)
+from wavedens.sampling import _grid_points
 
 STEP = 2.0 ** -10
 
@@ -115,3 +116,17 @@ def test_tv_nan_above_1d():
     lk = localize(pk, 0, np.zeros(2), 0.5)
     assert isinstance(lk, LocalizedKernel)
     assert math.isnan(lk.tv)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+def test_localize_equals_kernel_batch(family, d):
+    # the outer product of 1-D sections has the bits of the full-lattice batch
+    pk = ProjectionKernel(build_family(family), d)
+    step = {1: 2.0 ** -7, 2: 2.0 ** -3, 3: 2.0 ** -1}[d]
+    for j, x in ((1, np.full(d, 0.3)), (3, np.linspace(0.11, 0.83, d)),
+                 (2, np.linspace(-0.4, 0.6, d))):
+        lk = localize(pk, j, x, step)
+        z = 2.0 ** j * x
+        batch = kernel_K_batch(pk, z, z + _grid_points(lk.axes))
+        assert np.array_equal(lk.values, batch.reshape(lk.values.shape))

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from wavedens.basis import build_family
+from wavedens.errors import NumericalError
 from wavedens.increments import from_cell_density
 from wavedens.kernel import ProjectionKernel, localize
 from wavedens.limitsets import (gamma_interval, h_poisson, strassen_distance,
@@ -42,6 +45,22 @@ def test_h_poisson_values():
     arr = h_poisson(np.array([0.0, 1.0, 2.0]))
     assert arr.shape == (3,)
     assert abs(arr[2] - (2 * math.log(2) - 1)) < 1e-12
+
+
+def _h_scalar(t):
+    if t > 0.0:
+        return t * math.log(t) - t + 1.0
+    return 1.0 if t == 0.0 else math.inf
+
+
+def test_h_poisson_matches_scalar_definition():
+    ts = [2.0, 0.0, -1.0, math.nan, -0.0, 1e-300]
+    assert h_poisson(np.array(ts)).tolist() == [_h_scalar(t) for t in ts]
+    assert [h_poisson(t) for t in ts] == [_h_scalar(t) for t in ts]
+    # all-positive arrays skip the masks: same values as with a zero beside them
+    pos = np.array([2.0, 1e-300, 0.5, 3.7, 1e300, 1.0])
+    masked = h_poisson(np.append(pos, 0.0))[:-1]
+    assert np.array_equal(h_poisson(pos), masked)
 
 
 def test_strassen_extremal_is_one():
@@ -124,3 +143,60 @@ def test_theorem2_threshold_closed_form():
     den = make_density("uniform01", 1)
     delta = theorem2_threshold(den, ((0.25,), (0.75,)), 0.5, _haar_lk())
     assert abs(delta - 1.0) < 1e-9
+
+
+def _plain_h(t):
+    """h with masks on every input (the cost's original form)."""
+    t = np.atleast_1d(np.asarray(t, float))
+    out = np.full(t.shape, np.inf)
+    pos = t > 0.0
+    tp = t[pos]
+    out[pos] = tp * np.log(tp) - tp + 1.0
+    out[t == 0.0] = 1.0
+    return out
+
+
+def _plain_endpoint(kv, vol, budget, sign):
+    """The Gamma_v dual without shortcuts: no memo, the clip on every call,
+    the masked h; same bracket, brentq tolerances and checks."""
+
+    def gdot_of(eta):
+        return np.exp(np.clip(sign * kv / eta, -500.0, 500.0))
+
+    def cost(eta):
+        return float(np.sum(_plain_h(gdot_of(eta))) * vol)
+
+    if sign < 0:
+        slack_cost = float(np.count_nonzero(kv > 0.0)) * vol
+        if np.all(kv >= 0.0) and slack_cost <= budget + 1e-12:
+            return 0.0, 0.0, np.where(kv > 0.0, 0.0, 1.0)
+    hi_eta = 1.0
+    while cost(hi_eta) > budget and hi_eta < 1e18:
+        hi_eta *= 4.0
+    if cost(hi_eta) > budget:
+        raise NumericalError("no bracket")
+    eta = brentq(lambda e: cost(e) - budget, 1e-12, hi_eta,
+                 xtol=1e-300, rtol=8.9e-16, maxiter=500)
+    if abs(cost(eta) - budget) > 1e-9:
+        raise NumericalError("tolerance")
+    gd = gdot_of(eta)
+    return float(np.sum(kv * gd) * vol), float(eta), gd
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+def test_gamma_interval_equals_plain_dual(family, d):
+    # v = 0.1 and 1 take Haar's closed-form lower endpoint, v = 1e6 nearly
+    # collapses the interval, and brentq's probe at eta = 1e-12 makes the
+    # clip bind wherever the dual is solved
+    step = 2.0 ** -6 if d == 1 else 2.0 ** -2
+    lk = localize(ProjectionKernel(build_family(family), d), 0, np.zeros(d), step)
+    kv, vol = lk.cell_values(), lk.cell_volume
+    for v in (0.1, 1.0, 2.0, 1e6):
+        iv = gamma_interval(lk, v)
+        hi, eta_hi, gd_hi = _plain_endpoint(kv, vol, 1.0 / v, +1.0)
+        lo, eta_lo, gd_lo = _plain_endpoint(kv, vol, 1.0 / v, -1.0)
+        assert (iv.lo, iv.hi) == (lo, hi)
+        assert (iv.certificate["eta_lo"], iv.certificate["eta_hi"]) == (eta_lo, eta_hi)
+        assert np.array_equal(iv.certificate["gdot_hi"], gd_hi)
+        assert np.array_equal(iv.certificate["gdot_lo"], gd_lo)
