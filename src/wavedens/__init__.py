@@ -4,7 +4,7 @@ uniform fluctuation rate and its failure of consistency under
 Erdos-Renyi-type bandwidths."""
 
 from .basis import (ScalingFunction, build_daubechies, build_family,
-                    build_haar, eval_phi, eval_phi_tensor, integral_phi)
+                    build_haar, eval_phi)
 from .errors import ConfigurationError, NumericalError
 from .estimator import (EvaluationGrid, SupStatistic, WaveletDensityEstimator,
                         evaluate, evaluate_kernel_form, expected_estimator,
@@ -15,17 +15,16 @@ from .experiments import (ExperimentConfig, ResolutionSchedule, RunRecord,
 from .increments import (IncrementFunction, cell_density, from_cell_density,
                          g_n_x, g_tilde_n_x, increment, relation_check, theta)
 from .kernel import (LocalizedKernel, ProjectionKernel, cell_lower_corners,
-                     dyadic_centers, kernel_K, kernel_K_batch, kernel_Kj,
-                     kernel_Kj_batch, localize)
-from .limitsets import (IntervalJ, StrassenDistance, gamma_interval, h_poisson,
-                        strassen_distance, strassen_extremal, theorem2_threshold)
+                     kernel_K_batch, kernel_Kj_batch, localize)
+from .limitsets import (IntervalJ, gamma_interval, h_poisson, strassen_extremal,
+                        theorem2_threshold)
 from .sampling import Density, SeedSpec, draw, make_density
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ScalingFunction", "build_daubechies", "build_family", "build_haar",
-    "eval_phi", "eval_phi_tensor", "integral_phi",
+    "eval_phi",
     "ConfigurationError", "NumericalError",
     "EvaluationGrid", "SupStatistic", "WaveletDensityEstimator",
     "evaluate", "evaluate_kernel_form", "expected_estimator", "fit",
@@ -35,10 +34,8 @@ __all__ = [
     "IncrementFunction", "cell_density", "from_cell_density", "g_n_x",
     "g_tilde_n_x", "increment", "relation_check", "theta",
     "LocalizedKernel", "ProjectionKernel", "cell_lower_corners",
-    "dyadic_centers", "kernel_K", "kernel_K_batch", "kernel_Kj",
-    "kernel_Kj_batch", "localize",
-    "IntervalJ", "StrassenDistance", "gamma_interval",
-    "h_poisson", "strassen_distance", "strassen_extremal",
+    "kernel_K_batch", "kernel_Kj_batch", "localize",
+    "IntervalJ", "gamma_interval", "h_poisson", "strassen_extremal",
     "theorem2_threshold",
     "Density", "SeedSpec", "draw", "make_density",
     "__version__",

@@ -144,17 +144,3 @@ def eval_phi(sf: ScalingFunction, x):
         out[inside] = sf.values[i0] * (1.0 - fr) + sf.values[i0 + 1] * fr
     return float(out[0]) if scalar else out
 
-
-def eval_phi_tensor(sf: ScalingFunction, x) -> float:
-    """Tensor-product evaluation: prod_i phi(x_i) for a point x in R^d."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size == 0:
-        raise ValueError("empty point")
-    return float(np.prod(eval_phi(sf, x)))
-
-
-def integral_phi(sf: ScalingFunction) -> float:
-    """Left-rule integral of phi at table resolution (exact for Haar and
-    for Daubechies tables, by partition of unity at dyadic points)."""
-    step = 2.0 ** -sf.table_depth
-    return float(sf.values[:-1].sum() * step)

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError, NumericalError
 from .kernel import ProjectionKernel, kernel_Kj_batch
-from .sampling import Density, _as_sample, _grid_points
+from .sampling import Density, _as_point, _as_sample, _grid_points
 
 GRID_CAP = 4096
 _QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
@@ -104,21 +104,25 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     n, d = sample.shape
     if n == 0:
         raise ValueError("empty sample")
-    xs = sample * (2.0 ** j)
-    lo, hi = xs.min(axis=0), xs.max(axis=0)  # NaN propagates to both
+    lo, hi = sample.min(axis=0), sample.max(axis=0)  # NaN propagates to both
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("sample must be finite")
-    # Size the k-box from the float bounds, before any int64 cast, so that a
-    # far outlier fails here rather than in the cast or the allocation.
-    cells = math.prod(float(b) // 1.0 - float(a) // 1.0 + basis.width
-                      for a, b in zip(lo, hi))  # Python floats overflow to inf quietly
+    # Size the k-box from the bounds scaled in Python floats, before any numpy
+    # scaling or int64 cast, so that a far outlier fails here rather than in
+    # the multiply, the cast or the allocation.  Python floats overflow to inf
+    # quietly; an infinite bound makes `cells` NaN and fails the reach test.
+    scale = 2.0 ** j
+    bounds = [(float(a) * scale, float(b) * scale) for a, b in zip(lo, hi)]
+    cells = math.prod(b // 1.0 - a // 1.0 + basis.width for a, b in bounds)
     if cells > _MAX_TABLE_CELLS:
         raise ValueError(f"sample spans {cells:.4g} coefficient cells at level "
                          f"j={j}, more than the {_MAX_TABLE_CELLS} fit allocates")
-    if max(np.max(-lo), np.max(hi)) >= _MAX_SHIFT:
+    if max(max(-a, b) for a, b in bounds) >= _MAX_SHIFT:
         raise ValueError(f"sample reaches |2^j x| >= 2^62 at level j={j}")
-    origin = np.floor(lo).astype(np.int64) - (basis.width - 1)
-    table = np.zeros(np.floor(hi).astype(np.int64) - origin + 1)
+    # scaling by 2^j is exact, so these are the bounds of xs
+    xs = sample * scale
+    origin = np.floor(lo * scale).astype(np.int64) - (basis.width - 1)
+    table = np.zeros(np.floor(hi * scale).astype(np.int64) - origin + 1)
     flat = table.ravel()
 
     def add(k, offset, start, base, vals):
@@ -168,11 +172,12 @@ def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
 
 
 def evaluate_kernel_form(basis: ScalingFunction, j: int, sample, x) -> float:
-    """fhat(x) = (1/n) sum_i K_j(x, X_i); equals the coefficient form."""
+    """fhat(x) = (1/n) sum_i K_j(x, X_i) at one point x of shape (d,) (or a
+    scalar when d = 1); equals the coefficient form."""
     sample = _as_sample(sample)
     n, d = sample.shape
     pk = ProjectionKernel(basis, d)
-    xx = np.broadcast_to(np.atleast_1d(np.asarray(x, float)), (n, d))
+    xx = np.broadcast_to(_as_point(x, d), (n, d))
     return float(kernel_Kj_batch(pk, j, xx, sample).sum() / n)
 
 
@@ -269,10 +274,7 @@ def _expected_at(density: Density, basis: ScalingFunction, j: int,
 def expected_estimator(density: Density, basis: ScalingFunction, j: int, x) -> float:
     """E fhat(x) = integral of K_j(x, .) f at one point x of shape (d,) (or a
     scalar when d = 1); `_expected_at` evaluates many points at once."""
-    x = np.asarray(x, float)
-    if x.ndim > 1 or x.size != density.dimension:
-        raise ValueError(f"point must have shape (d,) with d = "
-                         f"{density.dimension}, got {x.shape}")
+    x = _as_point(x, density.dimension)
     return float(_expected_at(density, basis, j, x.reshape(1, -1))[0])
 
 

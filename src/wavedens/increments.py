@@ -21,7 +21,7 @@ from .errors import ConfigurationError
 from .estimator import evaluate_kernel_form, expected_estimator
 from .kernel import (LocalizedKernel, ProjectionKernel, _box_diff, _box_sum,
                      _corner_axes, kernel_K_batch)
-from .sampling import Density, _as_sample
+from .sampling import Density, _as_point, _as_sample
 
 DEFAULT_GRID_STEP = 2.0 ** -10
 
@@ -50,13 +50,14 @@ class IncrementFunction:
 def increment(sample, density: Density, x, h: float, s_box) -> float:
     """Empirical-process increment sqrt(n)(P_n - P) of the rescaled box.
 
-    s_box = (s, u) with s <= u coordinatewise; points are rescaled by
+    x and the corners of s_box = (s, u), s <= u coordinatewise, are points
+    of shape (d,) (or scalars when d = 1); sample points are rescaled by
     u_i = (X_i - x) / h^(1/d); the centering probability is analytic.
     """
     sample = _as_sample(sample)
     n, d = sample.shape
-    x = np.atleast_1d(np.asarray(x, float))
-    s, u = (np.atleast_1d(np.asarray(v, float)) for v in s_box)
+    x = _as_point(x, d)
+    s, u = (_as_point(v, d) for v in s_box)
     if np.any(s > u):
         raise ValueError("degenerate box: lower corner above upper corner")
     scale = h ** (1.0 / d)
@@ -123,32 +124,21 @@ def cell_density(g: IncrementFunction) -> np.ndarray:
     return _box_diff(g.values) / (g.step ** g.dimension)
 
 
-def _resample_to(g: IncrementFunction, axes) -> np.ndarray:
-    """Nearest-lower-grid-point resampling of g onto another corner lattice."""
-    vals = g.values
-    out = vals
-    for ax in range(g.dimension):
-        idx = np.searchsorted(np.asarray(g.axes[ax]), np.asarray(axes[ax]) + 1e-12, side="right") - 1
-        if np.any(idx < 0) or np.any(idx >= vals.shape[ax]):
-            raise ConfigurationError("increment grid does not cover the kernel grid")
-        out = np.take(out, idx, axis=ax)
-    return out
-
-
 def theta(lk: LocalizedKernel, g: IncrementFunction, normalized: bool = True) -> float:
     """Stieltjes functional int g dKtilde via integration by parts.
 
     Computed as sum over cells of Ktilde(lower corner) * cell mass of g,
     where cell masses are the alternating corner differences (for d = 1:
     sum_m Ktilde(s_m)(g(s_m) - g(s_{m+1}))); divided by sigma when
-    normalized.
+    normalized.  g must lie on the kernel's own corner lattice; any other
+    lattice raises ConfigurationError.
     """
     if g.dimension != lk.dimension:
         raise ConfigurationError("increment and kernel dimensions differ")
-    same = (len(g.axes[0]) == len(lk.axes[0])
-            and np.allclose(g.axes[0], lk.axes[0], atol=1e-12))
-    vals = g.values if same else _resample_to(g, lk.axes)
-    total = float(np.sum(lk.cell_values() * _box_diff(vals)))
+    if not all(len(a) == len(b) and np.allclose(a, b, atol=1e-12)
+               for a, b in zip(g.axes, lk.axes)):
+        raise ConfigurationError("increment is not on the kernel's corner lattice")
+    total = float(np.sum(lk.cell_values() * _box_diff(g.values)))
     return total / lk.sigma if normalized else total
 
 

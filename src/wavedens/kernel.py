@@ -48,13 +48,6 @@ def _kernel1(sf: ScalingFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_K(pk: ProjectionKernel, x, y) -> float:
-    """K(x, y) for points x, y in R^d (finite sum by compact support)."""
-    x = np.atleast_1d(np.asarray(x, float))
-    y = np.atleast_1d(np.asarray(y, float))
-    return float(np.prod(_kernel1(pk.basis, x, y)))
-
-
 def kernel_K_batch(pk: ProjectionKernel, x, y) -> np.ndarray:
     """Vectorized K over batches of points with shape (..., d)."""
     x = np.asarray(x, float)
@@ -62,17 +55,8 @@ def kernel_K_batch(pk: ProjectionKernel, x, y) -> np.ndarray:
     return np.prod(_kernel1(pk.basis, x, y), axis=-1)
 
 
-def kernel_Kj(pk: ProjectionKernel, j: int, x, y) -> float:
-    """Rescaled kernel K_j(x, y) = 2^(dj) K(2^j x, 2^j y)."""
-    if j < 0:
-        raise ConfigurationError("level j must be >= 0")
-    scale = 2.0 ** j
-    x = np.atleast_1d(np.asarray(x, float))
-    d = x.size
-    return float(2.0 ** (d * j) * kernel_K(pk, scale * x, scale * np.atleast_1d(y)))
-
-
 def kernel_Kj_batch(pk: ProjectionKernel, j: int, x, y) -> np.ndarray:
+    """K_j(x, y) = 2^(dj) K(2^j x, 2^j y) over batches of points (..., d)."""
     x = np.asarray(x, float)
     d = x.shape[-1]
     scale = 2.0 ** j
@@ -173,9 +157,3 @@ def cell_lower_corners(lk: LocalizedKernel) -> np.ndarray:
     """Lower-corner coordinates of each grid cell, shape (n_cells, d)."""
     return _grid_points([a[:-1] for a in lk.axes])
 
-
-def dyadic_centers(pk: ProjectionKernel, j: int, count: int, seed: int = 0):
-    """Random centers x with 2^j x integer, for invariance checks."""
-    rng = np.random.default_rng(seed)
-    ints = rng.integers(-(1 << j), 1 << j, size=(count, pk.dimension))
-    return ints / (1 << j)

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NumericalError
-from .increments import IncrementFunction, cell_density, from_cell_density, theta
-from .kernel import LocalizedKernel, _box_sum
+from .increments import from_cell_density, theta
+from .kernel import LocalizedKernel
 
 _EXP_CLIP = 500.0  # exp argument cap; costs beyond this dwarf any feasible 1/v
 
@@ -57,12 +57,6 @@ def h_poisson(t):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class StrassenDistance:
-    value: float
-    warning: str | None = None
-
-
 def strassen_extremal(lk: LocalizedKernel):
     """Maximizer of the normalized functional over the Strassen ball.
 
@@ -76,53 +70,6 @@ def strassen_extremal(lk: LocalizedKernel):
     gdot = kv / norm
     g = from_cell_density("strassen-extremal", lk.axes, gdot)
     return theta(lk, g, normalized=True), gdot
-
-
-def strassen_distance(g: IncrementFunction, budget: int = 5000) -> StrassenDistance:
-    """Approximate sup-norm distance from g to the discretized Strassen set.
-
-    Warm start: the exact cell density of g projected onto the L2 ball;
-    refinement by projected subgradient steps on the active corner.  The
-    returned value is an upper bound on the discretized distance.
-    """
-    d = g.dimension
-    vol = g.step ** d
-    target = g.values
-
-    def ball_project(gd):
-        nrm = math.sqrt(float(np.sum(gd ** 2)) * vol)
-        return gd / nrm if nrm > 1.0 else gd
-
-    gdot = ball_project(cell_density(g))
-    best = float(np.max(np.abs(target - _box_sum(gdot * vol))))
-    best_hist = [best]
-    for t in range(1, budget + 1):
-        resid = target - _box_sum(gdot * vol)
-        idx = np.unravel_index(int(np.argmax(np.abs(resid))), resid.shape)
-        obj = abs(float(resid[idx]))
-        if obj < best:
-            best = obj
-        best_hist.append(best)
-        if best < 1e-12:
-            break
-        sign = math.copysign(1.0, float(resid[idx]))
-        mask = np.ones(tuple(s - 1 for s in target.shape), dtype=bool)
-        for ax in range(d):
-            sl = [slice(None)] * d
-            sl[ax] = slice(0, idx[ax])
-            mask[tuple(sl)] = False
-        n_active = int(mask.sum())
-        if n_active == 0:
-            break
-        step = obj / (vol * n_active * math.sqrt(t))
-        upd = np.zeros_like(gdot)
-        upd[mask] = sign * step
-        gdot = ball_project(gdot + upd)
-    warning = None
-    tail = max(budget // 10, 1)
-    if len(best_hist) > tail and best_hist[-1] >= best_hist[-tail] - 1e-12 and best > 1e-6:
-        warning = "no improvement over the final iteration window"
-    return StrassenDistance(best, warning)
 
 
 def _gamma_endpoint(kv: np.ndarray, vol: float, budget: float, sign: float):

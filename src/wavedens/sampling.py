@@ -25,6 +25,14 @@ def _as_sample(sample) -> np.ndarray:
     return sample[:, None] if sample.ndim == 1 else sample
 
 
+def _as_point(x, d: int) -> np.ndarray:
+    """One point as a (d,) float array; a scalar is a point only when d = 1."""
+    x = np.asarray(x, float)
+    if x.ndim > 1 or x.size != d:
+        raise ValueError(f"point must have shape (d,) with d = {d}, got {x.shape}")
+    return x.reshape(d)
+
+
 def _grid_points(axes) -> np.ndarray:
     """The tensor grid of per-coordinate axes as (m, d) points, last axis fastest."""
     grids = np.meshgrid(*axes, indexing="ij")
@@ -129,10 +137,6 @@ class Density:
     dimension: int
     components: tuple
 
-    @property
-    def support(self):
-        return np.zeros(self.dimension), np.ones(self.dimension)
-
     def pdf(self, x) -> np.ndarray:
         """Density at one point of shape (d,) (a float) or at points of
         shape (n, d) (an array); other 1-D lengths and widths raise ValueError."""
@@ -156,9 +160,9 @@ class Density:
         return out
 
     def box_prob(self, lo, hi) -> float:
-        """P(X in [lo, hi]) via per-coordinate analytic CDFs."""
-        lo = np.atleast_1d(np.asarray(lo, float))
-        hi = np.atleast_1d(np.asarray(hi, float))
+        """P(X in [lo, hi]) for corners of shape (d,), via analytic CDFs."""
+        lo = _as_point(lo, self.dimension)
+        hi = _as_point(hi, self.dimension)
         if np.any(hi < lo):
             return 0.0
         p = 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavedens.basis import (build_daubechies, build_family, build_haar,
-                            eval_phi, eval_phi_tensor, integral_phi)
+                            eval_phi)
 from wavedens.errors import ConfigurationError
 
 SQRT3 = math.sqrt(3.0)
@@ -78,14 +78,11 @@ def test_gram_orthonormality():
 
 
 def test_integral_is_one():
+    # left-rule integral at table resolution
     for fam in ("haar", "db4", "db6"):
-        assert abs(integral_phi(build_family(fam)) - 1.0) < 1e-12
-
-
-def test_tensor_evaluation():
-    sf = build_haar()
-    assert eval_phi_tensor(sf, [0.5, 0.5]) == 1.0
-    assert eval_phi_tensor(sf, [0.5, 1.5]) == 0.0
+        sf = build_family(fam)
+        integral = float(sf.values[:-1].sum() * 2.0 ** -sf.table_depth)
+        assert abs(integral - 1.0) < 1e-12
 
 
 def test_unknown_family_raises():

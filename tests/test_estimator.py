@@ -337,3 +337,12 @@ def test_shift_loop_matches_kernel_form_and_histogram(case):
         scale = 2.0 ** (d * j / 2.0) / n
         assert est.coeffs == {tuple(int(c) for c in cell): float(count * scale)
                               for cell, count in zip(cells, counts)}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_checks_the_bounds_before_scaling():
+    # 1e307 * 2^10 used to overflow in numpy, warn, then fail as "not finite"
+    basis = build_family("haar")
+    for sample in ([1e307], [-1e307], [[0.5, 1e307]], [0.5, 1e308]):
+        with pytest.raises(ValueError, match=r"2\^62 at level j=10"):
+            fit(basis, 10, np.array(sample))

@@ -5,6 +5,7 @@ import pytest
 
 from wavedens.basis import build_family
 from wavedens.errors import ConfigurationError
+from wavedens.estimator import evaluate_kernel_form
 from wavedens.increments import (cell_density, from_cell_density, g_n_x,
                                  g_tilde_n_x, increment, relation_check,
                                  theta)
@@ -141,3 +142,60 @@ def test_grid_step_must_tile():
     sample = draw(den, SeedSpec(0), 50)
     with pytest.raises(ConfigurationError):
         g_n_x(sample, den, [0.5], 3, grid_step=0.3)
+
+
+def test_theta_rejects_a_foreign_lattice():
+    # theta used to resample such a g nearest-lower onto the kernel's
+    # lattice: the first call returned -0.1297
+    den = make_density("cosine_bump", 1)
+    sample = draw(den, SeedSpec(2), 1000)
+    lk = localize(ProjectionKernel(build_family("db4"), 1), 0, np.zeros(1), STEP)
+    finer = g_n_x(sample, den, [0.5], 3, halfwidth=3.0, grid_step=2.0 ** -12)
+    with pytest.raises(ConfigurationError, match="lattice"):
+        theta(lk, finer)
+    narrower = g_n_x(sample, den, [0.5], 3)  # the default W = 1 lattice
+    with pytest.raises(ConfigurationError, match="lattice"):
+        theta(lk, narrower)
+    same = g_n_x(sample, den, [0.5], 3, halfwidth=3.0, grid_step=STEP)
+    assert math.isfinite(theta(lk, same))
+
+
+def _kernel_form_at(den, sample, p):
+    return evaluate_kernel_form(build_family("haar"), 2, sample, p)
+
+
+def _box(d):
+    return -np.ones(d), np.ones(d)
+
+
+POINT_CALLS = {
+    "evaluate_kernel_form": _kernel_form_at,
+    "increment_x": lambda den, sample, p: increment(
+        sample, den, p, 0.01, _box(den.dimension)),
+    "increment_s": lambda den, sample, p: increment(
+        sample, den, np.full(den.dimension, 0.5), 0.01,
+        (p, _box(den.dimension)[1])),
+    "increment_u": lambda den, sample, p: increment(
+        sample, den, np.full(den.dimension, 0.5), 0.01,
+        (-np.full(den.dimension, 0.3), p)),
+    "box_prob_lo": lambda den, sample, p: den.box_prob(
+        p, np.full(den.dimension, 0.6)),
+    "box_prob_hi": lambda den, sample, p: den.box_prob(
+        np.full(den.dimension, 0.2), p),
+}
+
+
+@pytest.mark.parametrize("call", sorted(POINT_CALLS))
+def test_a_point_needs_exactly_d_coordinates(call):
+    # at d = 2, [0.3] used to be broadcast to (0.3, 0.3)
+    f = POINT_CALLS[call]
+    den2 = make_density("uniform01", 2)
+    sample2 = draw(den2, SeedSpec(9), 200)
+    for p in ([0.3], 0.3, [0.3, 0.3, 0.3], [[0.3, 0.3]]):
+        with pytest.raises(ValueError, match="shape"):
+            f(den2, sample2, p)
+    assert math.isfinite(f(den2, sample2, [0.3, 0.3]))
+    # at d = 1 a scalar is a point
+    den1 = make_density("cosine_bump", 1)
+    sample1 = draw(den1, SeedSpec(9), 200)
+    assert f(den1, sample1, 0.3) == f(den1, sample1, [0.3])

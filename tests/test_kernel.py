@@ -1,13 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from wavedens.basis import build_family
+from wavedens.basis import build_family, eval_phi
 from wavedens.errors import ConfigurationError
 from wavedens.kernel import (LocalizedKernel, ProjectionKernel,
-                             cell_lower_corners, dyadic_centers, kernel_K,
-                             kernel_K_batch, kernel_Kj, localize)
+                             cell_lower_corners, kernel_K_batch,
+                             kernel_Kj_batch, localize)
 from wavedens.sampling import _grid_points
 
 STEP = 2.0 ** -10
@@ -15,9 +16,9 @@ STEP = 2.0 ** -10
 
 def test_haar_kernel_is_cell_indicator():
     pk = ProjectionKernel(build_family("haar"), 1)
-    assert kernel_K(pk, 0.3, 0.7) == 1.0  # same unit cell
-    assert kernel_K(pk, 0.3, 1.2) == 0.0
-    assert kernel_K(pk, -0.5, -0.1) == 1.0
+    assert kernel_K_batch(pk, [0.3], [0.7]) == 1.0  # same unit cell
+    assert kernel_K_batch(pk, [0.3], [1.2]) == 0.0
+    assert kernel_K_batch(pk, [-0.5], [-0.1]) == 1.0
 
 
 def test_kernel_symmetry():
@@ -26,28 +27,34 @@ def test_kernel_symmetry():
         pk = ProjectionKernel(build_family(fam), 2)
         for _ in range(20):
             x, y = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
-            assert abs(kernel_K(pk, x, y) - kernel_K(pk, y, x)) < 1e-12
+            assert abs(kernel_K_batch(pk, x, y) - kernel_K_batch(pk, y, x)) < 1e-12
 
 
 def test_db4_diagonal_value():
     # K(0,0) = sum_k phi(k)^2 = ((1+s3)/2)^2 + ((1-s3)/2)^2 = 2
     pk = ProjectionKernel(build_family("db4"), 1)
-    assert abs(kernel_K(pk, 0.0, 0.0) - 2.0) < 1e-9
+    assert abs(kernel_K_batch(pk, [0.0], [0.0]) - 2.0) < 1e-9
 
 
 def test_rescaled_kernel():
     pk = ProjectionKernel(build_family("haar"), 1)
-    assert kernel_Kj(pk, 3, 0.3, 0.3) == 8.0
-    assert kernel_Kj(pk, 3, 0.3, 0.5) == 0.0  # different dyadic cells
+    assert kernel_Kj_batch(pk, 3, [0.3], [0.3]) == 8.0
+    assert kernel_Kj_batch(pk, 3, [0.3], [0.5]) == 0.0  # different dyadic cells
 
 
 def test_batch_matches_scalar():
+    # oracle: K(x, y) = sum_k prod_i phi(x_i - k_i) phi(y_i - k_i) over a
+    # fixed k range wide enough for x, y in [-1, 1]^2, not the batch's window
     rng = np.random.default_rng(6)
-    pk = ProjectionKernel(build_family("db4"), 2)
+    sf = build_family("db4")
+    pk = ProjectionKernel(sf, 2)
     x, y = rng.uniform(-1, 1, (30, 2)), rng.uniform(-1, 1, (30, 2))
     batch = kernel_K_batch(pk, x, y)
     for i in range(30):
-        assert abs(batch[i] - kernel_K(pk, x[i], y[i])) < 1e-12
+        oracle = sum(eval_phi(sf, x[i][0] - k0) * eval_phi(sf, y[i][0] - k0)
+                     * eval_phi(sf, x[i][1] - k1) * eval_phi(sf, y[i][1] - k1)
+                     for k0, k1 in itertools.product(range(-8, 8), repeat=2))
+        assert abs(batch[i] - oracle) < 1e-12
 
 
 def test_localize_haar_section():
@@ -77,8 +84,9 @@ def test_dyadic_invariance():
             pk = ProjectionKernel(build_family(fam), d)
             step = STEP if d == 1 else 2.0 ** -4
             ref = localize(pk, 0, np.zeros(d), step)
-            for j, x in [(3, c) for c in dyadic_centers(pk, 3, 3, seed=1)]:
-                lk = localize(pk, j, x, step)
+            # centers x with 2^3 x integer
+            for x in np.random.default_rng(1).integers(-8, 8, size=(3, d)) / 8:
+                lk = localize(pk, 3, x, step)
                 assert np.max(np.abs(lk.values - ref.values)) < 1e-10
 
 

@@ -7,18 +7,17 @@ from scipy.optimize import brentq
 
 from wavedens.basis import build_family
 from wavedens.errors import NumericalError
-from wavedens.increments import from_cell_density
 from wavedens.kernel import ProjectionKernel, localize
-from wavedens.limitsets import (gamma_interval, h_poisson, strassen_distance,
-                                strassen_extremal, theorem2_threshold)
+from wavedens.limitsets import (gamma_interval, h_poisson, strassen_extremal,
+                                theorem2_threshold)
 from wavedens.sampling import make_density
 
 STEP = 2.0 ** -10
 
 
-def _haar_lk(d=1, step=STEP):
-    pk = ProjectionKernel(build_family("haar"), d)
-    return localize(pk, 0, np.zeros(d), step)
+def _haar_lk():
+    pk = ProjectionKernel(build_family("haar"), 1)
+    return localize(pk, 0, np.zeros(1), STEP)
 
 
 def _db4_lk():
@@ -70,25 +69,6 @@ def test_strassen_extremal_is_one():
         # extremal density saturates the energy constraint
         energy = float(np.sum(gdot ** 2)) * lk.cell_volume
         assert abs(energy - 1.0) < 1e-12
-
-
-def test_strassen_distance_of_member_is_zero():
-    lk = _haar_lk(step=2.0 ** -6)
-    _, gdot = strassen_extremal(lk)
-    g = from_cell_density("member", lk.axes, gdot)
-    dist = strassen_distance(g, budget=50)
-    assert dist.value < 1e-10
-
-
-def test_strassen_distance_of_scaled_member():
-    # 2x the extremal density: nearest ball point is the extremal itself
-    lk = _haar_lk(step=2.0 ** -6)
-    _, gdot = strassen_extremal(lk)
-    g = from_cell_density("outside", lk.axes, 2.0 * gdot)
-    dist = strassen_distance(g, budget=2000)
-    # sup-norm distance equals max of the one-cell-scale integral gap
-    target = float(np.max(np.abs(g.values)) / 2.0)
-    assert dist.value <= target + 1e-9
 
 
 def test_gamma_interval_haar_v1():
