@@ -176,6 +176,8 @@ def evaluate_kernel_form(basis: ScalingFunction, j: int, sample, x) -> float:
     scalar when d = 1); equals the coefficient form."""
     sample = _as_sample(sample)
     n, d = sample.shape
+    if n == 0:
+        raise ValueError("empty sample")
     pk = ProjectionKernel(basis, d)
     xx = np.broadcast_to(_as_point(x, d), (n, d))
     return float(kernel_Kj_batch(pk, j, xx, sample).sum() / n)
@@ -264,7 +266,8 @@ def _expected_at(density: Density, basis: ScalingFunction, j: int,
 
     if basis.interp == "left":
         return at(None)
-    step = 2.0 ** -max(j + 10, 15)
+    # never coarser than the 2^-(j+12) knots of phi's depth-12 table
+    step = 2.0 ** -max(j + 12, 15)
     coarse, fine = at(step), at(step / 2.0)
     if np.any(np.abs(fine - coarse) > 1e-7):
         raise NumericalError("expected_estimator quadrature did not converge")
@@ -280,9 +283,7 @@ def expected_estimator(density: Density, basis: ScalingFunction, j: int, x) -> f
 
 @dataclass(frozen=True)
 class EvaluationGrid:
-    box: tuple
     points: np.ndarray = field(repr=False)
-    level: int
     dyadic: bool
 
     def __len__(self):
@@ -323,7 +324,7 @@ def make_grid(box, j: int, kind: str = "dyadic", cap: int = GRID_CAP,
             axes.append(np.linspace(lo[i], hi[i], min(cap, 512)))
     else:
         raise ConfigurationError(f"unknown grid kind {kind!r}")
-    return EvaluationGrid((lo, hi), _grid_points(axes), j, all_dyadic)
+    return EvaluationGrid(_grid_points(axes), all_dyadic)
 
 
 @dataclass(frozen=True)
@@ -331,8 +332,6 @@ class SupStatistic:
     sup_dev: float
     inf_dev: float
     argmax: np.ndarray
-    grid: EvaluationGrid = field(repr=False)
-    normalization: str
 
     def __post_init__(self):
         if not self.sup_dev >= self.inf_dev:
@@ -367,5 +366,4 @@ def sup_deviation(est: WaveletDensityEstimator, density: Density,
     else:
         raise ConfigurationError(f"unknown sup_deviation mode {mode!r}")
     hi = int(np.argmax(dev))
-    return SupStatistic(float(dev.max()), float(dev.min()),
-                        grid.points[hi].copy(), grid, mode)
+    return SupStatistic(float(dev.max()), float(dev.min()), grid.points[hi].copy())

@@ -218,7 +218,7 @@ def _run_pairs(config: ExperimentConfig, density, basis, mode: str) -> dict:
                 recs = list(pool.map(one, reps))
         else:
             recs = [one(r) for r in reps]
-        groups[n] = (info, sorted(recs, key=lambda r: r.replication))
+        groups[n] = (info, recs)
     return groups
 
 

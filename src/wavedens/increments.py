@@ -30,13 +30,8 @@ DEFAULT_GRID_STEP = 2.0 ** -10
 class IncrementFunction:
     """A grid-discretized box functional s -> value([s, top])."""
 
-    kind: str
-    center: np.ndarray = field(repr=False)
-    level: int
-    bandwidth: float
     axes: tuple = field(repr=False)
     values: np.ndarray = field(repr=False)
-    scale_meta: dict = field(default_factory=dict, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -96,8 +91,7 @@ def g_n_x(sample, density: Density, x, j: int,
                                    for i, ax in enumerate(axes)], top)
     denom = math.sqrt(2.0 * fx * h * math.log(1.0 / h))
     values = math.sqrt(n) * (counts / n - probs) / denom
-    meta = {"f_x": fx, "n": n, "h": h, "denominator": denom}
-    return IncrementFunction("gnx", x, j, h, axes, values, meta)
+    return IncrementFunction(axes, values)
 
 
 def g_tilde_n_x(sample, density: Density, x, j: int, c: float,
@@ -105,18 +99,16 @@ def g_tilde_n_x(sample, density: Density, x, j: int, c: float,
     """Erdos-Renyi scaled counting functional (nonnegative, box-monotone)."""
     if c <= 0.0:
         raise ValueError("c must be positive")
-    n, x, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step)
+    n, _, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step)
     values = counts / (c * fx * n * h)
-    meta = {"f_x": fx, "n": n, "h": h, "c": c}
-    return IncrementFunction("gtilde", x, j, h, axes, values, meta)
+    return IncrementFunction(axes, values)
 
 
-def from_cell_density(kind: str, axes, gdot_cells: np.ndarray, meta=None) -> IncrementFunction:
+def from_cell_density(axes, gdot_cells: np.ndarray) -> IncrementFunction:
     """Box-summation of a cell density: g(s) = sum over cells in [s, top]."""
     d = gdot_cells.ndim
     step = float(axes[0][1] - axes[0][0])
-    return IncrementFunction(kind, np.zeros(d), 0, 1.0, tuple(axes),
-                             _box_sum(gdot_cells * step ** d), dict(meta or {}))
+    return IncrementFunction(tuple(axes), _box_sum(gdot_cells * step ** d))
 
 
 def cell_density(g: IncrementFunction) -> np.ndarray:

@@ -27,11 +27,6 @@ class ProjectionKernel:
         if self.dimension < 1:
             raise ConfigurationError("dimension must be >= 1")
 
-    @property
-    def domain_halfwidth(self) -> float:
-        """Half-width W of the box containing supp Ktilde per coordinate."""
-        return float(self.basis.width)
-
 
 def _kernel1(sf: ScalingFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Univariate K(x, y); x and y broadcast to a common shape."""
@@ -57,6 +52,8 @@ def kernel_K_batch(pk: ProjectionKernel, x, y) -> np.ndarray:
 
 def kernel_Kj_batch(pk: ProjectionKernel, j: int, x, y) -> np.ndarray:
     """K_j(x, y) = 2^(dj) K(2^j x, 2^j y) over batches of points (..., d)."""
+    if j < 0:
+        raise ConfigurationError("level j must be >= 0")
     x = np.asarray(x, float)
     d = x.shape[-1]
     scale = 2.0 ** j
@@ -73,8 +70,6 @@ class LocalizedKernel:
     NaN otherwise).
     """
 
-    center: np.ndarray = field(repr=False)
-    level: int
     axes: tuple = field(repr=False)
     values: np.ndarray = field(repr=False)
     step: float
@@ -136,7 +131,7 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
     x = np.atleast_1d(np.asarray(x, float))
     if x.size != d:
         raise ConfigurationError(f"center has {x.size} coordinates, kernel is {d}-dimensional")
-    axes = _corner_axes(pk.domain_halfwidth, grid_step, d)
+    axes = _corner_axes(pk.basis.width, grid_step, d)
     z = (2.0 ** j) * x
     # K factors over coordinates: the outer product of the d 1-D sections has
     # the bits of kernel_K_batch on the full lattice, for the cost of d sections
@@ -149,8 +144,7 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
         tv = float(np.sum(np.abs(np.diff(vals))) + abs(vals[0]) + abs(vals[-1]))
     else:
         tv = float("nan")
-    return LocalizedKernel(center=x.copy(), level=j, axes=axes,
-                           values=vals, step=grid_step, sigma=sigma, tv=tv)
+    return LocalizedKernel(axes=axes, values=vals, step=grid_step, sigma=sigma, tv=tv)
 
 
 def cell_lower_corners(lk: LocalizedKernel) -> np.ndarray:

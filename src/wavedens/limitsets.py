@@ -9,7 +9,6 @@ solutions with a single scalar multiplier found by bisection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,11 +63,8 @@ def strassen_extremal(lk: LocalizedKernel):
     the extreme value 1; returns (value, gdot) with the value routed
     through the generic theta machinery.
     """
-    kv = lk.cell_values()
-    vol = lk.cell_volume
-    norm = math.sqrt(float(np.sum(kv ** 2)) * vol)
-    gdot = kv / norm
-    g = from_cell_density("strassen-extremal", lk.axes, gdot)
+    gdot = lk.cell_values() / lk.sigma
+    g = from_cell_density(lk.axes, gdot)
     return theta(lk, g, normalized=True), gdot
 
 

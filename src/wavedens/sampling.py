@@ -160,23 +160,18 @@ class Density:
         return out
 
     def box_prob(self, lo, hi) -> float:
-        """P(X in [lo, hi]) for corners of shape (d,), via analytic CDFs."""
+        """P(X in [lo, hi]) for corners of shape (d,), via analytic CDFs:
+        box_prob_grid on the one-corner grid lo."""
         lo = _as_point(lo, self.dimension)
-        hi = _as_point(hi, self.dimension)
-        if np.any(hi < lo):
-            return 0.0
-        p = 0.0
-        for w, m in self.components:
-            p += w * float(np.prod(np.maximum(m.cdf(hi) - m.cdf(lo), 0.0)))
-        return p
+        return self.box_prob_grid(lo[:, None], hi).item()
 
     def box_prob_grid(self, lo_axes, hi) -> np.ndarray:
         """P(X in [s, hi]) for every corner s of an axis grid.
 
-        lo_axes: list of d arrays of lower-corner coordinates; returns an
-        array of shape (len(ax) for ax in lo_axes).
+        lo_axes: list of d arrays of lower-corner coordinates; hi: a corner
+        of shape (d,); returns an array of shape (len(ax) for ax in lo_axes).
         """
-        hi = np.atleast_1d(np.asarray(hi, float))
+        hi = _as_point(hi, self.dimension)
         total = 0.0
         for w, m in self.components:
             factors = [np.maximum(float(m.cdf(hi[i])) - m.cdf(np.asarray(ax, float)), 0.0)
@@ -191,8 +186,6 @@ class Density:
         """sup of the pdf over a box H (grid search plus local refinement)."""
         lo = np.atleast_1d(np.asarray(box[0], float))
         hi = np.atleast_1d(np.asarray(box[1], float))
-        if self.name == "uniform01":
-            return 1.0
         n = 2049 if self.dimension == 1 else 257
         pts = _grid_points([np.linspace(lo[i], hi[i], n) for i in range(self.dimension)])
         vals = self.pdf(pts)

@@ -57,6 +57,24 @@ def test_estimate(tmp_path):
     assert float(row[3]) == 1.0  # uniform density
 
 
+def test_estimate_smooth_basis_at_a_fine_level(tmp_path):
+    # E fhat over [0, 1] used to fail its quadrature check from j = 5 (exit 2)
+    out = tmp_path / "fhat.csv"
+    code = main(["estimate", "--family", "db4", "--level", "6",
+                 "--density", "cosine_bump", "--n", "512", "--emit", str(out)])
+    assert code == 0
+    assert out.read_text().splitlines()[0] == "x_1,fhat,efhat,f"
+
+
+def test_increments_gnx(tmp_path):
+    out = tmp_path / "g.csv"
+    code = main(["increments", "--kind", "gnx", "--density", "cosine_bump",
+                 "--level", "3", "--n", "200", "--seed", "1",
+                 "--center", "0.5", "--step", "0.03125", "--emit", str(out)])
+    assert code == 0
+    assert out.read_text().splitlines()[0] == "s_1,value"
+
+
 def test_increments(tmp_path):
     out = tmp_path / "g.csv"
     code = main(["increments", "--kind", "gtilde", "--density", "uniform01",

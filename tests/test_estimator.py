@@ -149,11 +149,10 @@ def test_sup_deviation_errors():
 
 def test_sup_statistic_rejects_sup_below_inf():
     # a raised error, not an assert, so the check survives python -O
-    grid = make_grid(((0.25,), (0.75,)), 2, "dyadic")
     with pytest.raises(NumericalError):
-        SupStatistic(0.1, 0.2, np.array([0.5]), grid, "ratio")
+        SupStatistic(0.1, 0.2, np.array([0.5]))
     with pytest.raises(NumericalError):
-        SupStatistic(float("nan"), 0.2, np.array([0.5]), grid, "ratio")
+        SupStatistic(float("nan"), 0.2, np.array([0.5]))
 
 
 def test_fit_errors():
@@ -161,6 +160,14 @@ def test_fit_errors():
         fit(build_family("haar"), -1, np.array([[0.5]]))
     with pytest.raises(ValueError):
         fit(build_family("haar"), 2, np.empty((0, 1)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_form_rejects_an_empty_sample():
+    # used to divide by n = 0 and return NaN
+    for d in (1, 2):
+        with pytest.raises(ValueError, match="empty sample"):
+            evaluate_kernel_form(build_family("db4"), 2, np.empty((0, d)), [0.5] * d)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -251,6 +258,23 @@ def test_expected_estimator_smooth_matches_kernel_form_quadrature(fam):
                 kv = kernel_Kj_batch(pk, j, np.full(ys.shape, x), ys)
                 ref = float(np.sum(kv * fy) * step)
                 assert abs(expected_estimator(den, basis, j, x) - ref) < 1e-10
+
+
+@pytest.mark.parametrize("fam", ["db4", "db6"])
+def test_expected_estimator_smooth_converges_over_unit_interval(fam):
+    # a quadrature step coarser than phi's 2^-12 table stalled the
+    # step-halving gap near 1e-7 from j = 5 and raised NumericalError
+    basis = build_family(fam)
+    xs = np.linspace(0.0, 1.0, 257)[:, None]
+    for name in ("uniform01", "cosine_bump"):
+        den = make_density(name, 1)
+        for j in (5, 8, 10):
+            efhat = _expected_at(den, basis, j, xs)
+            if name == "uniform01":
+                # shifts met at x lie inside [0, 1]: E fhat is the partition of unity
+                w = basis.width * 2.0 ** -j
+                interior = (xs[:, 0] >= w) & (xs[:, 0] <= 1.0 - w)
+                assert np.all(np.abs(efhat[interior] - 1.0) < 1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -66,7 +66,7 @@ def test_cell_density_roundtrip():
     rng = np.random.default_rng(4)
     axes = (np.linspace(-1, 1, 17),)
     gdot = rng.normal(size=16)
-    g = from_cell_density("test", axes, gdot)
+    g = from_cell_density(axes, gdot)
     np.testing.assert_allclose(cell_density(g), gdot, atol=1e-10)
 
 
@@ -74,7 +74,7 @@ def test_cell_density_roundtrip_2d():
     rng = np.random.default_rng(5)
     axes = (np.linspace(-1, 1, 9),) * 2
     gdot = rng.normal(size=(8, 8))
-    g = from_cell_density("test", axes, gdot)
+    g = from_cell_density(axes, gdot)
     np.testing.assert_allclose(cell_density(g), gdot, atol=1e-10)
 
 
@@ -83,9 +83,9 @@ def test_theta_linearity():
     pk = ProjectionKernel(build_family("haar"), 1)
     lk = localize(pk, 0, np.zeros(1), 2.0 ** -4)
     axes = lk.axes
-    g1 = from_cell_density("a", axes, rng.normal(size=32))
-    g2 = from_cell_density("b", axes, rng.normal(size=32))
-    g3 = from_cell_density("c", axes,
+    g1 = from_cell_density(axes, rng.normal(size=32))
+    g2 = from_cell_density(axes, rng.normal(size=32))
+    g3 = from_cell_density(axes,
                            2.0 * cell_density(g1) - 0.5 * cell_density(g2))
     lin = 2.0 * theta(lk, g1) - 0.5 * theta(lk, g2)
     assert abs(theta(lk, g3) - lin) < 1e-12
@@ -96,7 +96,7 @@ def test_theta_of_unit_density_is_mass():
     for fam in ("haar", "db4"):
         pk = ProjectionKernel(build_family(fam), 1)
         lk = localize(pk, 0, np.zeros(1), STEP)
-        g = from_cell_density("unit", lk.axes, np.ones(len(lk.axes[0]) - 1))
+        g = from_cell_density(lk.axes, np.ones(len(lk.axes[0]) - 1))
         assert abs(theta(lk, g, normalized=False) - 1.0) < 1e-9
 
 
@@ -107,7 +107,7 @@ def test_theta_boundedness():
     lk = localize(pk, 0, np.zeros(1), STEP)
     bound = lk.tv / lk.sigma
     for _ in range(20):
-        g = from_cell_density("r", lk.axes,
+        g = from_cell_density(lk.axes,
                               rng.normal(size=len(lk.axes[0]) - 1))
         assert abs(theta(lk, g)) <= bound * np.max(np.abs(g.values)) + 1e-9
 
@@ -182,6 +182,8 @@ POINT_CALLS = {
         p, np.full(den.dimension, 0.6)),
     "box_prob_hi": lambda den, sample, p: den.box_prob(
         np.full(den.dimension, 0.2), p),
+    "box_prob_grid_hi": lambda den, sample, p: den.box_prob_grid(
+        [np.array([0.2])] * den.dimension, p).item(),
 }
 
 

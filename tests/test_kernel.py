@@ -42,6 +42,13 @@ def test_rescaled_kernel():
     assert kernel_Kj_batch(pk, 3, [0.3], [0.5]) == 0.0  # different dyadic cells
 
 
+def test_rescaled_kernel_rejects_negative_level():
+    # used to return 0.5, a level-(-1) kernel, where fit and E fhat raise
+    pk = ProjectionKernel(build_family("haar"), 1)
+    with pytest.raises(ConfigurationError):
+        kernel_Kj_batch(pk, -1, [0.3], [0.9])
+
+
 def test_batch_matches_scalar():
     # oracle: K(x, y) = sum_k prod_i phi(x_i - k_i) phi(y_i - k_i) over a
     # fixed k range wide enough for x, y in [-1, 1]^2, not the batch's window
