@@ -32,6 +32,11 @@ def _kernel1(sf: ScalingFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Univariate K(x, y); x and y broadcast to a common shape."""
     a, b = sf.support
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    if sf.interp == "left":
+        # Haar: K(x, y) = 1 when x and y share a unit cell.  Comparing floors
+        # is exact, as fit's cell counts are; phi(y - k) is not, since
+        # y - floor(y) rounds up to 1.0 for y in [-2^-54, 0).
+        return (np.floor(x) == np.floor(y)).astype(float)
     out = np.zeros(x.shape)
     # phi(t) != 0 needs a <= t < b, so a shared shift k has
     # max(x, y) - b < k <= min(x, y) - a: at most the b - a integers

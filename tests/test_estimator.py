@@ -317,21 +317,35 @@ def test_expected_estimator_smooth_quadrature_guard_raises():
 SHIFT_BASES = {name: build_family(name) for name in ("haar", "db4", "db6")}
 
 
+def _haar_cell_coeffs(sample, j):
+    """Independent Haar oracle for the coefficient map: the exact cell
+    counts from np.unique, each scaled as fit scales them."""
+    n, d = sample.shape
+    cells, counts = np.unique(np.floor(sample * 2.0 ** j).astype(int),
+                              axis=0, return_counts=True)
+    scale = 2.0 ** (d * j / 2.0) / n
+    return {tuple(int(c) for c in cell): float(count * scale)
+            for cell, count in zip(cells, counts)}
+
+
 @st.composite
 def _fit_cases(draw_):
     """A basis, dimension, level, a sample whose coordinates are often on the
-    level-j lattice (0 and 1 included), and query points: lattice points,
-    cell midpoints and points up to width + 2 cells outside [0, 1]."""
+    level-j lattice (0 and 1 included) and may lie outside [0, 1], negative
+    ones included, so that the k-box starts anywhere; and query points:
+    lattice points, cell midpoints and points up to width + 2 cells outside
+    [-2, 3]."""
     name = draw_(st.sampled_from(sorted(SHIFT_BASES)))
     d = draw_(st.integers(1, 2))
     j = draw_(st.integers(0, 4))
     cells = 2 ** j
-    lattice = st.integers(0, cells).map(lambda m: m / cells)
-    coord = st.one_of(lattice, st.floats(0.0, 1.0))
+    lattice = st.one_of(st.integers(0, cells), st.integers(-2 * cells, 3 * cells))
+    coord = st.one_of(lattice.map(lambda m: m / cells), st.floats(0.0, 1.0),
+                      st.floats(-2.0, 3.0))
     sample = draw_(st.lists(st.lists(coord, min_size=d, max_size=d),
                             min_size=1, max_size=12))
     reach = SHIFT_BASES[name].width + 2
-    query = st.integers(-reach, cells + reach).flatmap(
+    query = st.integers(-2 * cells - reach, 3 * cells + reach).flatmap(
         lambda m: st.sampled_from([m / cells, (m + 0.5) / cells]))
     points = draw_(st.lists(st.lists(query, min_size=d, max_size=d),
                             min_size=1, max_size=6))
@@ -341,26 +355,51 @@ def _fit_cases(draw_):
 @settings(max_examples=150, deadline=None)
 @given(_fit_cases())
 def test_shift_loop_matches_kernel_form_and_histogram(case):
-    name, d, j, sample, points = case
+    name, _, j, sample, points = case
     basis = SHIFT_BASES[name]
     est = fit(basis, j, sample)
     fhat = evaluate(est, points)
-    # no shift that is nonzero at a sample point reaches a point this far
-    # outside the sample's bounding box
-    gap = basis.width / 2.0 ** j
-    far = np.any((points >= sample.max(axis=0) + gap)
-                 | (points <= sample.min(axis=0) - gap), axis=1)
+    # The shifts that can be nonzero at y = 2^j x are floor(y) - (width - 1)
+    # .. floor(y), so none of a sample point's shifts reaches a point whose
+    # cell lies width or more cells outside the sample's cells.  Floors are
+    # exact; sample.min() - width 2^-j in floats rounds for a tiny negative
+    # minimum.
+    cell = np.floor(points * 2.0 ** j)
+    reach = basis.width - 1
+    far = np.any((cell > np.floor(sample.max(axis=0) * 2.0 ** j) + reach)
+                 | (cell < np.floor(sample.min(axis=0) * 2.0 ** j) - reach), axis=1)
     assert np.all(fhat[far] == 0.0)
     for x, value in zip(points, fhat):
         assert abs(value - evaluate_kernel_form(basis, j, sample, x)) < 1e-10
     if name == "haar":
-        n = len(sample)
-        cells, counts = np.unique(np.floor(sample * 2.0 ** j).astype(int),
-                                  axis=0, return_counts=True)
-        # the same scaling fit applies to the exact cell counts
-        scale = 2.0 ** (d * j / 2.0) / n
-        assert est.coeffs == {tuple(int(c) for c in cell): float(count * scale)
-                              for cell, count in zip(cells, counts)}
+        assert est.coeffs == _haar_cell_coeffs(sample, j)
+
+
+def test_haar_keeps_a_point_just_below_a_cell_edge():
+    # -1e-57 lies in the cell [-1, 0), but -1e-57 - (-1) rounds to 1.0, where
+    # the Haar phi is 0; fit and the kernel form both dropped the point
+    haar = build_family("haar")
+    sample = np.array([[-1.37e-57]])
+    est = fit(haar, 0, sample)
+    assert est.coeffs == _haar_cell_coeffs(sample, 0) == {(-1,): 1.0}
+    for x in (-1.0, -0.5):
+        assert evaluate(est, x) == evaluate_kernel_form(haar, 0, sample, x) == 1.0
+    assert evaluate_kernel_form(haar, 0, sample, 0.0) == 0.0
+
+
+def test_haar_fit_in_three_dimensions_counts_cells():
+    rng = SeedSpec(11).rng()
+    # around [-1.5, 2.5)^3, so origin is negative on every axis; a tenth of
+    # the points repeat so that some cells hold several
+    sample = rng.random((400, 3)) * 4.0 - 1.5
+    sample[::10] = sample[1]
+    haar = build_family("haar")
+    for j in (0, 2, 3):
+        est = fit(haar, j, sample)
+        assert np.all(est.origin == np.floor(sample.min(axis=0) * 2.0 ** j))
+        assert est.coeffs == _haar_cell_coeffs(sample, j)
+        x = sample[1]
+        assert abs(evaluate(est, x) - evaluate_kernel_form(haar, j, sample, x)) < 1e-10
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

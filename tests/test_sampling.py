@@ -124,3 +124,40 @@ def test_density_pdf_rejects_other_point_shapes():
                 np.full((2, 2, 2), 0.5)):
         with pytest.raises(ValueError):
             den2.pdf(bad)
+
+
+def test_box_prob_grid_rejects_another_number_of_axes():
+    den = make_density("trunc_gauss_mix", 2)
+    with pytest.raises(ValueError):  # was the first coordinate's slab alone
+        den.box_prob_grid([np.array([0.2])], [0.6, 0.6])
+    with pytest.raises(ValueError):  # was an IndexError
+        den.box_prob_grid([np.array([0.2])] * 3, [0.6, 0.6])
+    grid = den.box_prob_grid([np.array([0.2])] * 2, [0.6, 0.6])
+    assert grid.shape == (1, 1)
+    assert grid[0, 0] == den.box_prob([0.2, 0.2], [0.6, 0.6])
+
+
+def _bisection_ppf(marginal, u):
+    """The 60-step bisection that inverted cosine_bump before Newton did."""
+    lo = np.zeros_like(u)
+    hi = np.ones_like(u)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = marginal.cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cosine_ppf_matches_bisection_to_rounding():
+    marginal = make_density("cosine_bump", 1).components[0][1]
+    edges = np.array([0.0, 5e-324, 1e-300, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0])
+    u = np.concatenate([SeedSpec(20260823).rng().random(1 << 16), edges])
+    x = marginal.ppf(u)
+    assert np.max(np.abs(x - _bisection_ppf(marginal, u))) <= 4.5e-16
+    assert np.max(np.abs(marginal.cdf(x) - u)) <= 2.3e-16
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
+    assert marginal.ppf(np.array([0.0]))[0] == 0.0
+    assert marginal.ppf(np.array([1.0]))[0] == 1.0
