@@ -23,6 +23,7 @@ GRID_CAP = 4096
 _QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
 _MAX_TABLE_CELLS = 1 << 28  # largest coefficient box fit allocates (2 GiB)
 _MAX_SHIFT = 2.0 ** 62  # |2^j x| bound that keeps the int64 shift arithmetic exact
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,11 @@ def _for_each_shift(sf: ScalingFunction, xs: np.ndarray, origin: np.ndarray,
       the cells without building an n-sized index array per offset;
     - vals = prod_i phi(xs_i - s_i).
 
+    Haar's phi is the indicator of [0, 1) and its one shift is floor(y), so
+    y - s lies in [0, 1); the float y - floor(y) rounds up to 1.0 for y in
+    [-2^-54, 0), and is moved back below 1.  Continuous bases keep the
+    rounded argument: their phi barely moves over one rounding.
+
     A callback, not a generator: a generator's caller keeps the previous
     pair alive while the next one is built, which costs two more n-sized
     arrays at peak and measurably slows fit."""
@@ -83,11 +89,14 @@ def _for_each_shift(sf: ScalingFunction, xs: np.ndarray, origin: np.ndarray,
     base = k[:, -1]
     for i in range(d - 1):
         base = base + k[:, i] * strides[i]
+    haar = sf.interp == "left"
     for offset in itertools.product(range(w), repeat=d):
         vals = None
         for i, o in enumerate(offset):
             arg = k[:, i] + float(origin[i] + o)  # the shift, an exact float
             np.subtract(xs[:, i], arg, out=arg)
+            if haar:
+                np.minimum(arg, _BELOW_ONE, out=arg)
             phi = eval_phi(sf, arg)
             vals = phi if vals is None else vals * phi
         visit(k, offset, int(np.dot(offset, strides)), base, vals)

@@ -35,6 +35,16 @@ class IntervalJ:
             raise NumericalError("interval must contain 1 (gdot = 1 is free)")
 
 
+def _h_positive(t: np.ndarray, out=None) -> np.ndarray:
+    """h(t) = t log t - t + 1 where every entry of t is positive, written
+    into out (a fresh array if None; it must not be t)."""
+    out = np.log(t, out=out)
+    out *= t
+    out -= t
+    out += 1.0
+    return out
+
+
 def h_poisson(t):
     """Poisson rate function: t log t - t + 1 on (0, inf), 1 at 0, inf below 0."""
     t = np.asarray(t, float)
@@ -43,10 +53,7 @@ def h_poisson(t):
     if t.size and t.min() > 0.0:
         # all positive (min is NaN if any entry is): the masked path's
         # values without its masks and copies
-        out = np.log(t)
-        out *= t
-        out -= t
-        out += 1.0
+        out = _h_positive(t)
         return float(out[0]) if scalar else out
     out = np.full(t.shape, np.inf)
     pos = t > 0.0
@@ -68,21 +75,41 @@ def strassen_extremal(lk: LocalizedKernel):
     return theta(lk, g, normalized=True), gdot
 
 
-def _gamma_endpoint(kv: np.ndarray, vol: float, budget: float, sign: float):
+def _nonzero_box(kv: np.ndarray) -> tuple:
+    """Slices of the smallest box that holds every cell where kv != 0
+    (empty slices if there is none)."""
+    nz = kv != 0.0
+    box = []
+    for i in range(kv.ndim):
+        others = tuple(a for a in range(kv.ndim) if a != i)
+        hit = np.flatnonzero(np.any(nz, axis=others))
+        box.append(slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0))
+    return tuple(box)
+
+
+def _gamma_endpoint(kv: np.ndarray, box: tuple, kmax: float, vol: float,
+                    budget: float, sign: float):
     """Solve sup/inf of sum(K gdot) vol s.t. sum(h(gdot)) vol <= budget.
 
     sign=+1 gives the upper endpoint with gdot = exp(K/eta), sign=-1 the
     lower endpoint with gdot = exp(-K/eta); eta > 0 found by bisection on
-    the (monotone) cost curve.
+    the (monotone) cost curve.  box (`_nonzero_box`) holds every cell with
+    K != 0, and kmax = max|K|.
+
+    The cost curve runs exp and h only on the box.  A cell with K = +-0
+    has gdot = exp(+-0) = 1.0 and h(1.0) = 0.0 exactly, so the cost array
+    holds 0.0 outside the box and is summed over the full shape, as before:
+    every cost, eta, endpoint and certificate keeps its bits.
     """
-    # fl(k / eta) is monotone in k, so the clip binds iff it binds at max|K|
-    kmax = float(np.max(np.abs(kv)))
+    kb = kv[box]
     # eta -> cost, floats only: brentq's wrapper keeps what its callable
-    # captures alive until the cyclic GC runs
+    # captures alive until the cyclic GC runs, so the cost array is
+    # allocated per call rather than captured
     costs = {}
 
     def gdot_of(eta):
-        z = kv / (sign * eta)  # the bits of sign * kv / eta, as sign = +-1
+        z = kb / (sign * eta)  # the bits of sign * kb / eta, as sign = +-1
+        # fl(k / eta) is monotone in k, so the clip binds iff it binds at max|K|
         if not kmax / eta <= _EXP_CLIP:
             np.clip(z, -_EXP_CLIP, _EXP_CLIP, out=z)
         return np.exp(z, out=z)
@@ -90,13 +117,16 @@ def _gamma_endpoint(kv: np.ndarray, vol: float, budget: float, sign: float):
     def cost(eta):
         c = costs.get(eta)
         if c is None:
-            c = costs[eta] = float(np.sum(h_poisson(gdot_of(eta))) * vol)
+            # exp(z) with |z| <= 500 is positive, so h needs no mask or scan
+            h = np.zeros(kv.shape)
+            _h_positive(gdot_of(eta), out=h[box])
+            c = costs[eta] = float(np.sum(h) * vol)
         return c
 
     if sign < 0:
         # objective is minimized at gdot = 0 on {K > 0} when that is feasible
-        slack_cost = float(np.count_nonzero(kv > 0.0)) * vol
-        if np.all(kv >= 0.0) and slack_cost <= budget + 1e-12:
+        slack_cost = float(np.count_nonzero(kb > 0.0)) * vol
+        if np.all(kb >= 0.0) and slack_cost <= budget + 1e-12:
             gd = np.where(kv > 0.0, 0.0, 1.0)
             return 0.0, 0.0, gd
 
@@ -107,9 +137,12 @@ def _gamma_endpoint(kv: np.ndarray, vol: float, budget: float, sign: float):
         raise NumericalError("gamma endpoint bisection failed to bracket")
     eta = brentq(lambda e: cost(e) - budget, lo_eta, hi_eta,
                  xtol=1e-300, rtol=8.9e-16, maxiter=500)
-    if abs(cost(eta) - budget) > 1e-9:
+    gd = np.ones(kv.shape)
+    gd[box] = gdot_of(eta)
+    # the certificate over the full shape, through the public h: checks the
+    # box-only cost as well as the root
+    if abs(float(np.sum(h_poisson(gd)) * vol) - budget) > 1e-9:
         raise NumericalError("gamma endpoint dual constraint not met to tolerance")
-    gd = gdot_of(eta)
     return float(np.sum(kv * gd) * vol), float(eta), gd
 
 
@@ -125,8 +158,10 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
     kv = lk.cell_values()
     vol = lk.cell_volume
     budget = 1.0 / v
-    hi, eta_hi, gd_hi = _gamma_endpoint(kv, vol, budget, +1.0)
-    lo, eta_lo, gd_lo = _gamma_endpoint(kv, vol, budget, -1.0)
+    box = _nonzero_box(kv)
+    kmax = float(np.max(np.abs(kv[box]), initial=0.0))
+    hi, eta_hi, gd_hi = _gamma_endpoint(kv, box, kmax, vol, budget, +1.0)
+    lo, eta_lo, gd_lo = _gamma_endpoint(kv, box, kmax, vol, budget, -1.0)
     cert = {"eta_hi": eta_hi, "eta_lo": eta_lo,
             "gdot_hi": gd_hi, "gdot_lo": gd_lo}
     return IntervalJ(lo, hi, v, cert)

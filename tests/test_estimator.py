@@ -334,7 +334,7 @@ def _fit_cases(draw_):
     level-j lattice (0 and 1 included) and may lie outside [0, 1], negative
     ones included, so that the k-box starts anywhere; and query points:
     lattice points, cell midpoints and points up to width + 2 cells outside
-    [-2, 3]."""
+    [-2, 3], and points in [-2^-54, 0) 2^-j, where y - floor(y) rounds to 1."""
     name = draw_(st.sampled_from(sorted(SHIFT_BASES)))
     d = draw_(st.integers(1, 2))
     j = draw_(st.integers(0, 4))
@@ -345,8 +345,10 @@ def _fit_cases(draw_):
     sample = draw_(st.lists(st.lists(coord, min_size=d, max_size=d),
                             min_size=1, max_size=12))
     reach = SHIFT_BASES[name].width + 2
-    query = st.integers(-2 * cells - reach, 3 * cells + reach).flatmap(
-        lambda m: st.sampled_from([m / cells, (m + 0.5) / cells]))
+    query = st.one_of(
+        st.integers(-2 * cells - reach, 3 * cells + reach).flatmap(
+            lambda m: st.sampled_from([m / cells, (m + 0.5) / cells])),
+        st.floats(-2.0 ** -54, 0.0, exclude_max=True).map(lambda t: t / cells))
     points = draw_(st.lists(st.lists(query, min_size=d, max_size=d),
                             min_size=1, max_size=6))
     return name, d, j, np.array(sample), np.array(points)
@@ -385,6 +387,18 @@ def test_haar_keeps_a_point_just_below_a_cell_edge():
     for x in (-1.0, -0.5):
         assert evaluate(est, x) == evaluate_kernel_form(haar, 0, sample, x) == 1.0
     assert evaluate_kernel_form(haar, 0, sample, 0.0) == 0.0
+
+
+def test_haar_evaluates_a_point_just_below_zero_in_its_cell():
+    # -2^-57 lies in the cell [-1, 0) at y = 2^3 x, where -2^-57 - (-1) rounds
+    # to 1.0 and the Haar phi is 0; the table must be read at floor(y)
+    haar = build_family("haar")
+    sample = np.array([[0.3], [-0.01]])
+    est = fit(haar, 3, sample)
+    x = [[-2.0 ** -60]]
+    value = evaluate(est, x)[0]
+    assert value == pytest.approx(4.0, abs=1e-12)
+    assert value == pytest.approx(evaluate_kernel_form(haar, 3, sample, x[0]), abs=1e-12)
 
 
 def test_haar_fit_in_three_dimensions_counts_cells():

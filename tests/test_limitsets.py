@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,15 +170,41 @@ def _plain_endpoint(kv, vol, budget, sign):
 def test_gamma_interval_equals_plain_dual(family, d):
     # v = 0.1 and 1 take Haar's closed-form lower endpoint, v = 1e6 nearly
     # collapses the interval, and brentq's probe at eta = 1e-12 makes the
-    # clip bind wherever the dual is solved
+    # clip bind wherever the dual is solved; the off-center localizations
+    # put the kernel's nonzero box off the middle of the domain box
     step = 2.0 ** -6 if d == 1 else 2.0 ** -2
-    lk = localize(ProjectionKernel(build_family(family), d), 0, np.zeros(d), step)
-    kv, vol = lk.cell_values(), lk.cell_volume
-    for v in (0.1, 1.0, 2.0, 1e6):
-        iv = gamma_interval(lk, v)
-        hi, eta_hi, gd_hi = _plain_endpoint(kv, vol, 1.0 / v, +1.0)
-        lo, eta_lo, gd_lo = _plain_endpoint(kv, vol, 1.0 / v, -1.0)
-        assert (iv.lo, iv.hi) == (lo, hi)
-        assert (iv.certificate["eta_lo"], iv.certificate["eta_hi"]) == (eta_lo, eta_hi)
-        assert np.array_equal(iv.certificate["gdot_hi"], gd_hi)
-        assert np.array_equal(iv.certificate["gdot_lo"], gd_lo)
+    pk = ProjectionKernel(build_family(family), d)
+    for j, x in ((0, 0.0), (2, 0.3), (5, 0.71)):
+        lk = localize(pk, j, np.full(d, x), step)
+        kv, vol = lk.cell_values(), lk.cell_volume
+        for v in (0.1, 1.0, 2.0, 1e6):
+            iv = gamma_interval(lk, v)
+            hi, eta_hi, gd_hi = _plain_endpoint(kv, vol, 1.0 / v, +1.0)
+            lo, eta_lo, gd_lo = _plain_endpoint(kv, vol, 1.0 / v, -1.0)
+            assert (iv.lo, iv.hi) == (lo, hi)
+            assert ((iv.certificate["eta_lo"], iv.certificate["eta_hi"])
+                    == (eta_lo, eta_hi))
+            assert np.array_equal(iv.certificate["gdot_hi"], gd_hi)
+            assert np.array_equal(iv.certificate["gdot_lo"], gd_lo)
+
+
+def test_gamma_interval_holds_no_cost_array_after_it_returns():
+    # brentq wraps its callable in a reference cycle, so whatever the cost
+    # captures lives until the cyclic GC runs; with the GC off, what three
+    # calls leave held must be their certificates and a few small objects,
+    # far less than one 384 x 384 cost array (1.2 MB)
+    lk = localize(ProjectionKernel(build_family("db4"), 2), 0, np.zeros(2), 2.0 ** -6)
+    gamma_interval(lk, 1.0)  # first-call imports and caches
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ivs = [gamma_interval(lk, v) for v in (0.5, 1.0, 2.0)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    certs = sum(iv.certificate[key].nbytes for iv in ivs
+                for key in ("gdot_hi", "gdot_lo"))
+    assert held <= certs + 64 * 1024
