@@ -71,7 +71,8 @@ def _for_each_shift(sf: ScalingFunction, xs: np.ndarray, origin: np.ndarray,
     - base + start is the flat index of k + offset in a C-ordered table of
       this shape; where base >= 0, as in fit, flat[start:][base] reaches
       the cells without building an n-sized index array per offset;
-    - vals = prod_i phi(xs_i - s_i).
+    - vals = prod_i phi(xs_i - s_i), multiplied in axis order.  Only d * w
+      of these factors differ, and eval_phi runs once for each.
 
     Haar's phi is the indicator of [0, 1) and its one shift is floor(y), so
     y - s lies in [0, 1); the float y - floor(y) rounds up to 1.0 for y in
@@ -90,16 +91,26 @@ def _for_each_shift(sf: ScalingFunction, xs: np.ndarray, origin: np.ndarray,
     for i in range(d - 1):
         base = base + k[:, i] * strides[i]
     haar = sf.interp == "left"
-    for offset in itertools.product(range(w), repeat=d):
-        vals = None
-        for i, o in enumerate(offset):
-            arg = k[:, i] + float(origin[i] + o)  # the shift, an exact float
-            np.subtract(xs[:, i], arg, out=arg)
-            if haar:
-                np.minimum(arg, _BELOW_ONE, out=arg)
-            phi = eval_phi(sf, arg)
-            vals = phi if vals is None else vals * phi
-        visit(k, offset, int(np.dot(offset, strides)), base, vals)
+
+    def phi_at(i, o):
+        arg = k[:, i] + float(origin[i] + o)  # the shift, an exact float
+        np.subtract(xs[:, i], arg, out=arg)
+        if haar:
+            np.minimum(arg, _BELOW_ONE, out=arg)
+        return eval_phi(sf, arg)
+
+    # phi once per (axis, offset): axes 1.. are kept, axis 0 is built as its
+    # offset comes up, so (d - 1) w + 1 arrays are live and 1 when d = 1
+    kept = [[phi_at(i, o) for o in range(w)] for i in range(1, d)]
+    for o0 in range(w):
+        vals = phi0 = None  # free the last row's arrays before the next
+        phi0 = phi_at(0, o0)
+        for rest in itertools.product(range(w), repeat=d - 1):
+            vals = phi0
+            for phis, o in zip(kept, rest):
+                vals = vals * phis[o]
+            offset = (o0,) + rest
+            visit(k, offset, int(np.dot(offset, strides)), base, vals)
 
 
 def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:

@@ -192,33 +192,30 @@ def _thread_count() -> int:
 
 def _run_pairs(config: ExperimentConfig, density, basis, mode: str) -> dict:
     """Execute all (n, replication) pairs; returns {n: (per-n facts, records
-    in replication order)} in n_grid order."""
+    in replication order)} in n_grid order.  One thread pool serves every n;
+    its map keeps replication order."""
+    threads = _thread_count()
     groups = {}
-    for n_idx, n in enumerate(config.n_grid):
-        j = schedule_level(config.schedule, n)
-        grid = make_grid(config.h, j, config.grid)
-        expected = None
-        if mode == "theorem1":
-            expected = _expected_at(density, basis, j, grid.points)
-        info = {"level": j, "ratio": realized_ratio(config.schedule, n),
-                "grid_size": len(grid)}
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        run = pool.map if threads > 1 and config.replications > 1 else map
+        for n_idx, n in enumerate(config.n_grid):
+            j = schedule_level(config.schedule, n)
+            grid = make_grid(config.h, j, config.grid)
+            expected = None
+            if mode == "theorem1":
+                expected = _expected_at(density, basis, j, grid.points)
+            info = {"level": j, "ratio": realized_ratio(config.schedule, n),
+                    "grid_size": len(grid)}
 
-        def one(rep, n=n, j=j, grid=grid, expected=expected, n_idx=n_idx):
-            idx = n_idx * config.replications + rep
-            sample = draw(density, SeedSpec(config.base_seed, idx), n)
-            est = fit(basis, j, sample)
-            stat = sup_deviation(est, density, grid, mode, expected=expected)
-            return RunRecord(rep, n, j, stat.sup_dev, stat.inf_dev,
-                             tuple(stat.argmax), idx)
+            def one(rep, n=n, j=j, grid=grid, expected=expected, n_idx=n_idx):
+                idx = n_idx * config.replications + rep
+                sample = draw(density, SeedSpec(config.base_seed, idx), n)
+                est = fit(basis, j, sample)
+                stat = sup_deviation(est, density, grid, mode, expected=expected)
+                return RunRecord(rep, n, j, stat.sup_dev, stat.inf_dev,
+                                 tuple(stat.argmax), idx)
 
-        threads = _thread_count()
-        reps = range(config.replications)
-        if threads > 1 and config.replications > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                recs = list(pool.map(one, reps))
-        else:
-            recs = [one(r) for r in reps]
-        groups[n] = (info, recs)
+            groups[n] = (info, list(run(one, range(config.replications))))
     return groups
 
 

@@ -97,8 +97,8 @@ def g_n_x(sample, density: Density, x, j: int,
 def g_tilde_n_x(sample, density: Density, x, j: int, c: float,
                 halfwidth: float = 1.0, grid_step: float = DEFAULT_GRID_STEP) -> IncrementFunction:
     """Erdos-Renyi scaled counting functional (nonnegative, box-monotone)."""
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c!r}")
     n, _, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step)
     values = counts / (c * fx * n * h)
     return IncrementFunction(axes, values)

@@ -102,7 +102,7 @@ class LocalizedKernel:
 def _corner_axes(halfwidth: float, grid_step: float, d: int) -> tuple:
     """The corner lattice -W + step * arange(m + 1) over [-W, W], once per
     coordinate; the step must divide 2W so that cells tile the box."""
-    if grid_step <= 0:
+    if not grid_step > 0:  # NaN too
         raise ConfigurationError("grid_step must be positive")
     m = 2.0 * halfwidth / grid_step
     if abs(m - round(m)) > 1e-9 or round(m) < 2:
@@ -136,6 +136,8 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
     x = np.atleast_1d(np.asarray(x, float))
     if x.size != d:
         raise ConfigurationError(f"center has {x.size} coordinates, kernel is {d}-dimensional")
+    if not np.all(np.isfinite(x)):
+        raise ConfigurationError(f"center must be finite, got {x.tolist()}")
     axes = _corner_axes(pk.basis.width, grid_step, d)
     z = (2.0 ** j) * x
     # K factors over coordinates: the outer product of the d 1-D sections has

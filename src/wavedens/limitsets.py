@@ -9,6 +9,7 @@ solutions with a single scalar multiplier found by bisection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,8 +154,8 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
     zero cost in both endpoints, so the result does not depend on the
     domain box padding.
     """
-    if v <= 0.0:
-        raise ValueError("v must be positive")
+    if not v > 0.0:  # NaN too
+        raise ValueError(f"v must be positive, got {v!r}")
     kv = lk.cell_values()
     vol = lk.cell_volume
     budget = 1.0 / v
@@ -170,6 +171,8 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
 def theorem2_threshold(density, box, c: float, lk: LocalizedKernel) -> float:
     """Predicted persistent relative-deviation magnitude under ER scaling:
     delta = min(hi - 1, 1 - lo) of the Gamma interval at v = c f(x0)."""
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"ER constant c must be positive and finite, got {c!r}")
     fx0 = density.sup_on(box)
     iv = gamma_interval(lk, c * fx0)
     return min(iv.hi - 1.0, 1.0 - iv.lo)

@@ -75,6 +75,19 @@ def test_increments_gnx(tmp_path):
     assert out.read_text().splitlines()[0] == "s_1,value"
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--family", "db4", "--center", "nan"],
+    ["kernel", "--family", "haar", "--dim", "2", "--center", "0.5,inf",
+     "--step", "0.0625"],
+    ["increments", "--kind", "gtilde", "--density", "uniform01", "--level", "3",
+     "--n", "50", "--c", "nan", "--step", "0.0625"],
+    ["limitsets", "--family", "haar", "--v", "nan", "--step", "0.0625"],
+])
+def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--emit", str(tmp_path / "out.csv")]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_increments(tmp_path):
     out = tmp_path / "g.csv"
     code = main(["increments", "--kind", "gtilde", "--density", "uniform01",

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavedens.basis import build_family
+from wavedens import estimator
+from wavedens.basis import build_family, eval_phi
 from wavedens.errors import ConfigurationError, NumericalError
 from wavedens.estimator import (SupStatistic, _expected_at, evaluate,
                                 evaluate_kernel_form, expected_estimator, fit,
@@ -423,3 +425,57 @@ def test_fit_checks_the_bounds_before_scaling():
     for sample in ([1e307], [-1e307], [[0.5, 1e307]], [0.5, 1e308]):
         with pytest.raises(ValueError, match=r"2\^62 at level j=10"):
             fit(basis, 10, np.array(sample))
+
+
+def _per_offset_shift_loop(sf, xs, origin, shape, visit):
+    """The shift loop as it was before phi was shared across offsets: one
+    eval_phi per axis of every offset tuple (smooth bases only)."""
+    w, d = sf.width, xs.shape[1]
+    k = np.floor(xs, out=np.empty(xs.shape, np.int64), casting="unsafe")
+    k -= origin + (w - 1)
+    strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
+    base = k[:, -1]
+    for i in range(d - 1):
+        base = base + k[:, i] * strides[i]
+    for offset in itertools.product(range(w), repeat=d):
+        vals = None
+        for i, o in enumerate(offset):
+            arg = k[:, i] + float(origin[i] + o)
+            np.subtract(xs[:, i], arg, out=arg)
+            phi = eval_phi(sf, arg)
+            vals = phi if vals is None else vals * phi
+        visit(k, offset, int(np.dot(offset, strides)), base, vals)
+
+
+@pytest.mark.parametrize("name", ["db4", "db6"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_shared_phi_keeps_the_bits_of_the_per_offset_loop(monkeypatch, name, d):
+    basis = SHIFT_BASES[name]
+    sample = draw(make_density("cosine_bump", d), SeedSpec(7), 3000)
+    points = SeedSpec(8).rng().random((200, d)) * 1.5 - 0.25
+    est = fit(basis, 4, sample)
+    values = evaluate(est, points)
+    monkeypatch.setattr(estimator, "_for_each_shift", _per_offset_shift_loop)
+    old = fit(basis, 4, sample)
+    assert est.table.tobytes() == old.table.tobytes()
+    assert values.tobytes() == evaluate(old, points).tobytes()
+
+
+@pytest.mark.parametrize("name", ["haar", "db4", "db6"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_shift_loop_calls_eval_phi_once_per_axis_and_offset(monkeypatch, name, d):
+    basis = SHIFT_BASES[name]
+    calls = []
+
+    def counting(sf, x):
+        calls.append(len(x))
+        return eval_phi(sf, x)
+
+    monkeypatch.setattr(estimator, "eval_phi", counting)
+    sample = SeedSpec(9).rng().random((500, d))
+    est = fit(basis, 3, sample)
+    # Haar fit counts cells with no shift loop
+    assert len(calls) == (0 if name == "haar" else d * basis.width)
+    calls.clear()
+    evaluate(est, sample[:40])
+    assert calls == [40] * (d * basis.width)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavedens import experiments
 from wavedens.errors import ConfigurationError
 from wavedens.experiments import (ExperimentConfig, ResolutionSchedule,
                                   emit_report, realized_ratio, run_theorem1,
@@ -183,6 +184,23 @@ def test_records_roundtrip_floats(tmp_path):
         cols = line.split(",")
         assert float(cols[4]) == rec.sup_dev  # repr round-trips exactly
         assert float(cols[5]) == rec.inf_dev
+
+
+def test_one_thread_pool_per_run(monkeypatch):
+    pools = []
+
+    class Counting(experiments.ThreadPoolExecutor):
+        def __init__(self, *args, **kw):
+            pools.append(self)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setenv("WAVEDENS_THREADS", "1")
+    serial = run_theorem1(_config(n_grid=(4096, 8192, 16384)))
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Counting)
+    monkeypatch.setenv("WAVEDENS_THREADS", "2")
+    pooled = run_theorem1(_config(n_grid=(4096, 8192, 16384)))
+    assert len(pools) == 1
+    assert pooled["records"] == serial["records"]
 
 
 def test_threads_env_override(monkeypatch):

@@ -201,3 +201,12 @@ def test_a_point_needs_exactly_d_coordinates(call):
     den1 = make_density("cosine_bump", 1)
     sample1 = draw(den1, SeedSpec(9), 200)
     assert f(den1, sample1, 0.3) == f(den1, sample1, [0.3])
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+def test_gtilde_rejects_c_that_is_not_positive_and_finite(c):
+    # c = NaN gave all-NaN values, c = inf all zeros
+    den = make_density("uniform01", 1)
+    sample = draw(den, SeedSpec(3), 100)
+    with pytest.raises(ValueError, match="c must be positive"):
+        g_tilde_n_x(sample, den, 0.5, 3, c, grid_step=2.0 ** -4)

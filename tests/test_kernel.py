@@ -124,6 +124,16 @@ def test_localize_rejects_bad_step():
         localize(pk, 0, np.zeros(1), -0.1)
     with pytest.raises(ConfigurationError):
         localize(pk, 0, np.zeros(2), 0.5)
+    with pytest.raises(ConfigurationError, match="grid_step"):
+        localize(pk, 0, np.zeros(1), math.nan)
+
+
+@pytest.mark.parametrize("center", [[math.nan], [math.inf], [0.5, math.nan]])
+def test_localize_rejects_a_non_finite_center(center):
+    # a NaN center gave an all-zero kernel with sigma = 0.0
+    pk = ProjectionKernel(build_family("db4"), len(center))
+    with pytest.raises(ConfigurationError, match="center must be finite"):
+        localize(pk, 0, np.array(center), 2.0 ** -4)
 
 
 def test_tv_nan_above_1d():

@@ -117,6 +117,16 @@ def test_gamma_certificates_feasible():
 def test_gamma_rejects_nonpositive_v():
     with pytest.raises(ValueError):
         gamma_interval(_haar_lk(), 0.0)
+    # NaN passed a v <= 0 check and failed inside brentq
+    with pytest.raises(ValueError, match="v must be positive"):
+        gamma_interval(_haar_lk(), math.nan)
+
+
+@pytest.mark.parametrize("c", [0.0, math.nan, math.inf])
+def test_theorem2_threshold_rejects_c_that_is_not_positive_and_finite(c):
+    den = make_density("uniform01", 1)
+    with pytest.raises(ValueError, match="ER constant c must be positive"):
+        theorem2_threshold(den, ((0.25,), (0.75,)), c, _haar_lk())
 
 
 def test_theorem2_threshold_closed_form():

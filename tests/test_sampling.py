@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavedens.errors import ConfigurationError
-from wavedens.sampling import Density, SeedSpec, draw, make_density
+from wavedens.sampling import _PPF_NODES, Density, SeedSpec, draw, make_density
 
 DENSITIES = ("uniform01", "cosine_bump", "trunc_gauss_mix")
 
@@ -161,3 +161,19 @@ def test_cosine_ppf_matches_bisection_to_rounding():
     assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
     assert marginal.ppf(np.array([0.0]))[0] == 0.0
     assert marginal.ppf(np.array([1.0]))[0] == 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cosine_ppf_at_and_between_its_table_nodes():
+    # ppf interpolates a table of the inverse at u = i / N: check at every
+    # node, every node midpoint and one ulp either side of 64 nodes
+    marginal = make_density("cosine_bump", 1).components[0][1]
+    nodes = np.arange(_PPF_NODES + 1) / _PPF_NODES
+    mids = (np.arange(_PPF_NODES) + 0.5) / _PPF_NODES
+    some = nodes[_PPF_NODES // 64::_PPF_NODES // 64]
+    near = np.concatenate([np.nextafter(some, -1.0), np.nextafter(some, 2.0)])
+    u = np.sort(np.clip(np.concatenate([nodes, mids, near]), 0.0, 1.0))
+    x = marginal.ppf(u)
+    assert np.max(np.abs(x - _bisection_ppf(marginal, u))) <= 4.5e-16
+    assert np.max(np.abs(marginal.cdf(x) - u)) <= 2.3e-16
+    assert np.all(np.diff(x) >= 0.0)
