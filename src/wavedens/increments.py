@@ -53,6 +53,8 @@ def increment(sample, density: Density, x, h: float, s_box) -> float:
     n, d = sample.shape
     x = _as_point(x, d)
     s, u = (_as_point(v, d) for v in s_box)
+    if not 0.0 < h < math.inf:  # NaN too
+        raise ConfigurationError(f"bandwidth h must be positive and finite, got {h!r}")
     if np.any(s > u):
         raise ValueError("degenerate box: lower corner above upper corner")
     scale = h ** (1.0 / d)
@@ -73,10 +75,36 @@ def _corner_counts(sample, density: Density, x, j: int, halfwidth: float,
     fx = float(density.pdf(x))
     if fx <= 0.0:
         raise ValueError("f(x) must be positive")
+    if not np.all(np.isfinite(sample)):
+        raise ValueError("sample must be finite")
     axes = _corner_axes(halfwidth, grid_step, d)
-    u = (sample - x) / (2.0 ** -j)
-    hist, _ = np.histogramdd(u, bins=[np.asarray(ax, float) for ax in axes])
-    return n, x, fx, 2.0 ** (-d * j), axes, _box_sum(hist)
+    with np.errstate(over="ignore"):  # a point that overflows is off the lattice
+        u = (sample - x) / (2.0 ** -j)
+    return n, x, fx, 2.0 ** (-d * j), axes, _box_sum(_cell_counts(u, axes, grid_step))
+
+
+def _cell_counts(u: np.ndarray, axes: tuple, step: float) -> np.ndarray:
+    """Points of u (n, d) per cell of the uniform lattice `axes`, as floats.
+
+    np.histogramdd's counts: a cell holds [edge_i, edge_i+1), a point on
+    the last edge goes into the last cell, and points outside are dropped.
+    The cell comes from floor((u - edge_0) / step), which can miss by one
+    next to an edge, so one comparison with the exact edges corrects it.
+    """
+    m = len(axes[0]) - 1
+    keep = np.ones(len(u), bool)
+    flat = np.zeros(len(u), np.intp)
+    for i, ax in enumerate(axes):
+        ui = u[:, i]
+        keep &= (ui >= ax[0]) & (ui <= ax[-1])
+        # clipped before the cast, so an outside point casts without a warning
+        k = np.clip(np.floor((ui - ax[0]) / step), 0, m - 1).astype(np.intp)
+        k -= ui < ax[k]
+        k += (ui >= ax[k + 1]) & (k < m - 1)
+        flat *= m
+        flat += k
+    counts = np.bincount(flat[keep], minlength=m ** len(axes))
+    return counts.reshape((m,) * len(axes)).astype(float)
 
 
 def g_n_x(sample, density: Density, x, j: int,

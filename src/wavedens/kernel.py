@@ -132,6 +132,8 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
     The grid step must divide 2W so that cells tile the domain box
     (cell alignment keeps Haar discontinuities on grid lines).
     """
+    if j < 0:
+        raise ConfigurationError("level j must be >= 0")
     d = pk.dimension
     x = np.atleast_1d(np.asarray(x, float))
     if x.size != d:

@@ -4,7 +4,7 @@ Limit sets are represented through cell densities gdot on the localized
 kernel's grid: the Strassen ball constrains int gdot^2 <= 1, the Poisson
 set Gamma_v constrains int h(gdot) <= 1/v with the entropy-like cost
 h(t) = t log t - t + 1.  Both extremal problems reduce to pointwise dual
-solutions with a single scalar multiplier found by bisection.
+solutions with a single scalar multiplier found by Brent's method.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError
 from .increments import from_cell_density, theta
@@ -44,6 +43,78 @@ def _h_positive(t: np.ndarray, out=None) -> np.ndarray:
     out -= t
     out += 1.0
     return out
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _div(a: float, b: float) -> float:
+    """a / b with C's IEEE result where Python raises (b = +-0)."""
+    if b != 0.0:
+        return a / b
+    if a != a or a == 0.0:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in [xa, xb] by Brent's method (Algorithms for Minimization
+    without Derivatives, 1973), step for step as scipy.optimize.brentq's C
+    solver takes it: the same evaluations, interpolate/extrapolate/bisect
+    choices and stop test, so the same arguments give the same root.
+
+    f's values are taken as Python floats.  A NaN value, ends of one sign
+    and no convergence in maxiter steps raise NumericalError.
+    """
+    def call(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise NumericalError(f"root finder: f is NaN at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise NumericalError("root finder: f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre),
+                            dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        if short:
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NumericalError(f"root finder failed to converge after {maxiter} iterations")
 
 
 def h_poisson(t):
@@ -93,8 +164,8 @@ def _gamma_endpoint(kv: np.ndarray, box: tuple, kmax: float, vol: float,
     """Solve sup/inf of sum(K gdot) vol s.t. sum(h(gdot)) vol <= budget.
 
     sign=+1 gives the upper endpoint with gdot = exp(K/eta), sign=-1 the
-    lower endpoint with gdot = exp(-K/eta); eta > 0 found by bisection on
-    the (monotone) cost curve.  box (`_nonzero_box`) holds every cell with
+    lower endpoint with gdot = exp(-K/eta); eta > 0 found by Brent's method
+    on the (monotone) cost curve.  box (`_nonzero_box`) holds every cell with
     K != 0, and kmax = max|K|.
 
     The cost curve runs exp and h only on the box.  A cell with K = +-0
@@ -103,9 +174,8 @@ def _gamma_endpoint(kv: np.ndarray, box: tuple, kmax: float, vol: float,
     every cost, eta, endpoint and certificate keeps its bits.
     """
     kb = kv[box]
-    # eta -> cost, floats only: brentq's wrapper keeps what its callable
-    # captures alive until the cyclic GC runs, so the cost array is
-    # allocated per call rather than captured
+    # eta -> cost, floats only: the cost array is allocated per call, so
+    # nothing the size of the grid outlives the call that made it
     costs = {}
 
     def gdot_of(eta):
@@ -136,8 +206,8 @@ def _gamma_endpoint(kv: np.ndarray, box: tuple, kmax: float, vol: float,
         hi_eta *= 4.0
     if cost(hi_eta) > budget:
         raise NumericalError("gamma endpoint bisection failed to bracket")
-    eta = brentq(lambda e: cost(e) - budget, lo_eta, hi_eta,
-                 xtol=1e-300, rtol=8.9e-16, maxiter=500)
+    eta = _brentq(lambda e: cost(e) - budget, lo_eta, hi_eta,
+                  xtol=1e-300, rtol=8.9e-16, maxiter=500)
     gd = np.ones(kv.shape)
     gd[box] = gdot_of(eta)
     # the certificate over the full shape, through the public h: checks the

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigurationError
 
@@ -137,6 +136,9 @@ class _TruncNorm:
 
     @staticmethod
     def _phi(t):
+        # the one use of scipy in the package: imported here, so that the
+        # other densities load none of it
+        from scipy.special import ndtr
         return ndtr(np.asarray(t, float))
 
     def pdf(self, x):

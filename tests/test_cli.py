@@ -88,6 +88,14 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
     assert "must be" in capsys.readouterr().err
 
 
+def test_kernel_negative_level_exits_2(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--family", "haar", "--level", "-2",
+                 "--step", "0.0625", "--emit", str(out)]) == 2
+    assert "level j must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_increments(tmp_path):
     out = tmp_path / "g.csv"
     code = main(["increments", "--kind", "gtilde", "--density", "uniform01",

@@ -32,6 +32,15 @@ def test_increment_degenerate_box():
         increment(sample, den, [0.5], 0.1, ([1.0], [-1.0]))
 
 
+@pytest.mark.parametrize("h", [math.nan, 0.0, -1.0, math.inf])
+def test_increment_rejects_a_bandwidth_that_is_not_positive_and_finite(h):
+    # NaN gave NaN, 0 gave 0.0 after a divide-by-zero warning, -1 gave 4.4
+    den = make_density("uniform01", 1)
+    sample = draw(den, SeedSpec(1), 100)
+    with pytest.raises(ConfigurationError, match="bandwidth h must be positive"):
+        increment(sample, den, 0.5, h, ([0.0], [1.0]))
+
+
 def test_gnx_values_against_direct_count():
     den = make_density("cosine_bump", 1)
     sample = draw(den, SeedSpec(2), 1000)

@@ -128,6 +128,14 @@ def test_localize_rejects_bad_step():
         localize(pk, 0, np.zeros(1), math.nan)
 
 
+def test_localize_rejects_negative_level():
+    # used to return a level-(-3) section with sigma = 1.0, where
+    # kernel_Kj_batch and fit raise
+    pk = ProjectionKernel(build_family("haar"), 1)
+    with pytest.raises(ConfigurationError, match="level j must be >= 0"):
+        localize(pk, -3, [0.0], 2.0 ** -4)
+
+
 @pytest.mark.parametrize("center", [[math.nan], [math.inf], [0.5, math.nan]])
 def test_localize_rejects_a_non_finite_center(center):
     # a NaN center gave an all-zero kernel with sigma = 0.0

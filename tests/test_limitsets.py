@@ -1,17 +1,19 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from scipy.optimize import brentq
 
+from wavedens import limitsets
 from wavedens.basis import build_family
 from wavedens.errors import NumericalError
 from wavedens.kernel import ProjectionKernel, localize
-from wavedens.limitsets import (gamma_interval, h_poisson, strassen_extremal,
-                                theorem2_threshold)
+from wavedens.limitsets import (_brentq, gamma_interval, h_poisson,
+                                strassen_extremal, theorem2_threshold)
 from wavedens.sampling import make_density
 
 STEP = 2.0 ** -10
@@ -199,10 +201,9 @@ def test_gamma_interval_equals_plain_dual(family, d):
 
 
 def test_gamma_interval_holds_no_cost_array_after_it_returns():
-    # brentq wraps its callable in a reference cycle, so whatever the cost
-    # captures lives until the cyclic GC runs; with the GC off, what three
-    # calls leave held must be their certificates and a few small objects,
-    # far less than one 384 x 384 cost array (1.2 MB)
+    # nothing the root finder's callable captures may outlive the call: with
+    # the GC off, what three calls leave held must be their certificates and
+    # a few small objects, far less than one 384 x 384 cost array (1.2 MB)
     lk = localize(ProjectionKernel(build_family("db4"), 2), 0, np.zeros(2), 2.0 ** -6)
     gamma_interval(lk, 1.0)  # first-call imports and caches
     gc.collect()
@@ -218,3 +219,125 @@ def test_gamma_interval_holds_no_cost_array_after_it_returns():
     certs = sum(iv.certificate[key].nbytes for iv in ivs
                 for key in ("gdot_hi", "gdot_lo"))
     assert held <= certs + 64 * 1024
+
+
+TIGHT = (1e-300, 8.9e-16, 500)  # the tolerances and budget of gamma_interval
+
+
+def _steps_of_brentq(monkeypatch, f, a, b, tol=TIGHT):
+    """(root, f calls, steps) of _brentq, each step the list of the
+    denominators it divided by: [] bisects at once, one interpolates, three
+    extrapolate (whether the step is then kept or bisected)."""
+    events = []
+    div = limitsets._div
+
+    def spy(p, q):
+        events.append(q)
+        return div(p, q)
+
+    def counted(x):
+        events.append(None)
+        return f(x)
+
+    monkeypatch.setattr(limitsets, "_div", spy)
+    root = _brentq(counted, a, b, *tol)
+    calls = events.count(None)
+    steps, cur = [], None
+    for e in events:
+        if e is None:
+            if cur is not None:
+                steps.append(cur)
+            cur = []
+        else:
+            cur.append(e)
+    return root, calls, steps[1:]  # the first "step" is the two end calls
+
+
+def _scipy(f, a, b, tol=TIGHT):
+    xtol, rtol, maxiter = tol
+    root, res = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter,
+                       full_output=True)
+    return root, res.function_calls
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x ** 3 - 2.0, 0.0, 2.0),
+    (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 2.0),
+    (lambda x: math.log(x) - 1.0, 0.5, 10.0),
+])
+def test_brentq_equals_scipy_on_smooth_roots(monkeypatch, f, a, b):
+    root, calls, steps = _steps_of_brentq(monkeypatch, f, a, b)
+    assert (root, calls) == _scipy(f, a, b)
+    kinds = {len(s) for s in steps}
+    assert {1, 3} <= kinds  # both interpolation and extrapolation were tried
+
+
+def test_brentq_returns_a_root_at_an_end():
+    f = lambda x: x - 1.0  # noqa: E731
+    for a, b in ((1.0, 3.0), (-1.0, 1.0)):
+        calls = []
+        root = _brentq(lambda x: calls.append(x) or f(x), a, b, *TIGHT)
+        assert root == 1.0 and (root, len(calls)) == _scipy(f, a, b)
+
+
+def test_brentq_bisects_a_step_function(monkeypatch):
+    f = lambda x: -1.0 if x < 1.0 / 3.0 else 1.0  # noqa: E731
+    root, calls, steps = _steps_of_brentq(monkeypatch, f, 0.0, 2.0)
+    assert (root, calls) == _scipy(f, 0.0, 2.0)
+    assert steps and all(s == [] for s in steps)  # |f| never falls: pure bisection
+
+
+def test_brentq_takes_ieee_results_of_a_zero_denominator(monkeypatch):
+    # values near 1e-300 make the extrapolation's slopes underflow to 0;
+    # C then divides by zero, gets inf or NaN, and the step test bisects
+    f = lambda x: 1e-300 * (x - 0.3) ** 3  # noqa: E731
+    root, calls, steps = _steps_of_brentq(monkeypatch, f, 0.0, 2.0)
+    assert (root, calls) == _scipy(f, 0.0, 2.0)
+    assert any(q == 0.0 for s in steps for q in s)
+
+
+def test_brentq_stops_on_the_bracket_tolerance():
+    f = lambda x: x ** 3 - 2.0  # noqa: E731
+    for tol in ((1e-3, 8.9e-16, 500), (0.25, 1e-3, 500)):
+        calls = []
+        root = _brentq(lambda x: calls.append(x) or f(x), 0.0, 2.0, *tol)
+        assert (root, len(calls)) == _scipy(f, 0.0, 2.0, tol)
+        assert f(root) != 0.0  # so the stop was |sbis| < delta
+    assert _scipy(f, 0.0, 2.0, (0.25, 1e-3, 500))[1] < _scipy(f, 0.0, 2.0)[1]
+
+
+def test_brentq_works_in_python_floats():
+    # numpy-scalar values, as cost(e) - budget with a float64 budget gives:
+    # the extrapolation overflows in float64 but not in Python floats
+    f = lambda x: np.float64(1e300) * (x - 0.3) ** 3  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        root = _brentq(f, 0.0, 2.0, *TIGHT)
+    assert root == _scipy(lambda x: float(f(x)), 0.0, 2.0)[0]
+
+
+def test_brentq_equals_scipy_on_random_cubics():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        c, s = rng.uniform(-3.0, 3.0, 2)
+        p = int(rng.choice([1, 3, 5]))
+        f = lambda x, c=c, s=s, p=p: s * (x - c) ** p + 1e-3 * math.sin(x)  # noqa: E731
+        a, b = -4.0, 4.0 + rng.random()
+        calls = []
+        root = _brentq(lambda x: calls.append(x) or f(x), a, b, *TIGHT)
+        assert (root, len(calls)) == _scipy(f, a, b)
+
+
+@pytest.mark.parametrize("f,maxiter,match", [
+    (lambda x: math.nan, 500, "NaN"),  # at the first end
+    (lambda x: -1.0 if x == 0.0 else math.nan, 500, "NaN"),  # at the second end
+    (lambda x: x - 1.0 if x in (0.0, 2.0) else math.nan, 500, "NaN"),  # inside
+    (lambda x: x * x + 1.0, 500, "different signs"),
+    (lambda x: x ** 3 - 2.0, 3, "failed to converge"),
+])
+def test_brentq_failures_raise_numerical_error(f, maxiter, match):
+    with pytest.raises((ValueError, RuntimeError)):  # scipy's exceptions
+        brentq(f, 0.0, 2.0, xtol=1e-300, rtol=8.9e-16, maxiter=maxiter)
+    with pytest.raises(NumericalError, match=match):
+        _brentq(f, 0.0, 2.0, 1e-300, 8.9e-16, maxiter)
