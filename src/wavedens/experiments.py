@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._threads import thread_count
 from .basis import build_family
 from .errors import ConfigurationError
 from .estimator import _expected_at, fit, make_grid, sup_deviation
@@ -179,22 +179,11 @@ class RunRecord:
     stream_index: int
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("WAVEDENS_THREADS", "0")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k <= 0:
-        k = min(os.cpu_count() or 1, 8)
-    return k
-
-
 def _run_pairs(config: ExperimentConfig, density, basis, mode: str) -> dict:
     """Execute all (n, replication) pairs; returns {n: (per-n facts, records
     in replication order)} in n_grid order.  One thread pool serves every n;
     its map keeps replication order."""
-    threads = _thread_count()
+    threads = thread_count()
     groups = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
         run = pool.map if threads > 1 and config.replications > 1 else map

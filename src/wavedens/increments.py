@@ -58,7 +58,8 @@ def increment(sample, density: Density, x, h: float, s_box) -> float:
     if np.any(s > u):
         raise ValueError("degenerate box: lower corner above upper corner")
     scale = h ** (1.0 / d)
-    z = (sample - x) / scale
+    with np.errstate(over="ignore"):  # a point that overflows is outside every finite box
+        z = (sample - x) / scale
     inside = np.all((z >= s) & (z <= u), axis=1)
     p = density.box_prob(x + s * scale, x + u * scale)
     return float(math.sqrt(n) * (inside.mean() - p))

@@ -80,6 +80,9 @@ class LocalizedKernel:
     step: float
     sigma: float
     tv: float
+    # gamma_interval's cost curve, (sign, eta) -> cost: floats only.  A cost
+    # depends on the kernel, the sign and eta alone, never on the budget.
+    _costs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -153,6 +156,7 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
         tv = float(np.sum(np.abs(np.diff(vals))) + abs(vals[0]) + abs(vals[-1]))
     else:
         tv = float("nan")
+    vals.flags.writeable = False  # sigma, tv and the cost memo are computed from it
     return LocalizedKernel(axes=axes, values=vals, step=grid_step, sigma=sigma, tv=tv)
 
 

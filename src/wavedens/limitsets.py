@@ -10,10 +10,12 @@ solutions with a single scalar multiplier found by Brent's method.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._threads import thread_count
 from .errors import NumericalError
 from .increments import from_cell_density, theta
 from .kernel import LocalizedKernel
@@ -159,7 +161,7 @@ def _nonzero_box(kv: np.ndarray) -> tuple:
     return tuple(box)
 
 
-def _gamma_endpoint(kv: np.ndarray, box: tuple, kmax: float, vol: float,
+def _gamma_endpoint(lk: LocalizedKernel, box: tuple, kmax: float,
                     budget: float, sign: float):
     """Solve sup/inf of sum(K gdot) vol s.t. sum(h(gdot)) vol <= budget.
 
@@ -171,12 +173,16 @@ def _gamma_endpoint(kv: np.ndarray, box: tuple, kmax: float, vol: float,
     The cost curve runs exp and h only on the box.  A cell with K = +-0
     has gdot = exp(+-0) = 1.0 and h(1.0) = 0.0 exactly, so the cost array
     holds 0.0 outside the box and is summed over the full shape, as before:
-    every cost, eta, endpoint and certificate keeps its bits.
+    every cost, eta, endpoint and certificate keeps its bits.  Costs are
+    memoized on the kernel, so a v-sweep evaluates the bracket points and
+    the probe at eta = 1e-12 (where the clip binds) once per kernel.
     """
+    kv, vol = lk.cell_values(), lk.cell_volume
     kb = kv[box]
-    # eta -> cost, floats only: the cost array is allocated per call, so
-    # nothing the size of the grid outlives the call that made it
-    costs = {}
+    costs = lk._costs
+    # one cost array per call: each evaluation overwrites its box, the zeros
+    # outside stay, and nothing the size of the grid outlives the call
+    h = np.zeros(kv.shape)
 
     def gdot_of(eta):
         z = kb / (sign * eta)  # the bits of sign * kb / eta, as sign = +-1
@@ -186,12 +192,11 @@ def _gamma_endpoint(kv: np.ndarray, box: tuple, kmax: float, vol: float,
         return np.exp(z, out=z)
 
     def cost(eta):
-        c = costs.get(eta)
+        c = costs.get((sign, eta))
         if c is None:
             # exp(z) with |z| <= 500 is positive, so h needs no mask or scan
-            h = np.zeros(kv.shape)
             _h_positive(gdot_of(eta), out=h[box])
-            c = costs[eta] = float(np.sum(h) * vol)
+            c = costs[sign, eta] = float(np.sum(h) * vol)
         return c
 
     if sign < 0:
@@ -222,17 +227,32 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
 
     Off-support cells (Ktilde = 0) sit at the free value gdot = 1 with
     zero cost in both endpoints, so the result does not depend on the
-    domain box padding.
+    domain box padding.  With WAVEDENS_THREADS > 1 the upper endpoint is
+    solved in a worker thread while the lower one runs here (exp and log
+    release the GIL); the results are the same bits either way.
     """
     if not v > 0.0:  # NaN too
         raise ValueError(f"v must be positive, got {v!r}")
     kv = lk.cell_values()
-    vol = lk.cell_volume
     budget = 1.0 / v
     box = _nonzero_box(kv)
     kmax = float(np.max(np.abs(kv[box]), initial=0.0))
-    hi, eta_hi, gd_hi = _gamma_endpoint(kv, box, kmax, vol, budget, +1.0)
-    lo, eta_lo, gd_lo = _gamma_endpoint(kv, box, kmax, vol, budget, -1.0)
+
+    def endpoint(sign):
+        return _gamma_endpoint(lk, box, kmax, budget, sign)
+
+    if thread_count() > 1:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            upper = pool.submit(endpoint, +1.0)
+            try:
+                lo, eta_lo, gd_lo = endpoint(-1.0)
+            finally:
+                # read even when the lower endpoint raised: an error of the
+                # upper one comes first, as in the serial order
+                hi, eta_hi, gd_hi = upper.result()
+    else:
+        hi, eta_hi, gd_hi = endpoint(+1.0)
+        lo, eta_lo, gd_lo = endpoint(-1.0)
     cert = {"eta_hi": eta_hi, "eta_lo": eta_lo,
             "gdot_hi": gd_hi, "gdot_lo": gd_lo}
     return IntervalJ(lo, hi, v, cert)

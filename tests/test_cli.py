@@ -96,6 +96,21 @@ def test_kernel_negative_level_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["abc", "-1"])
+@pytest.mark.parametrize("command", ["theorem1", "limitsets"])
+def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch, threads, command):
+    # a malformed value used to fall back to the CPU count in silence
+    monkeypatch.setenv("WAVEDENS_THREADS", threads)
+    if command == "theorem1":
+        argv = ["theorem1", "--config", _write_cfg(tmp_path, CFG1),
+                "--output", str(tmp_path / "t1")]
+    else:
+        argv = ["limitsets", "--family", "haar", "--v", "1.0",
+                "--emit", str(tmp_path / "iv.json")]
+    assert main(argv) == 2
+    assert "WAVEDENS_THREADS must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_increments(tmp_path):
     out = tmp_path / "g.csv"
     code = main(["increments", "--kind", "gtilde", "--density", "uniform01",

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavedens import experiments
+from wavedens._threads import thread_count
 from wavedens.errors import ConfigurationError
 from wavedens.experiments import (ExperimentConfig, ResolutionSchedule,
                                   emit_report, realized_ratio, run_theorem1,
@@ -201,6 +203,15 @@ def test_one_thread_pool_per_run(monkeypatch):
     pooled = run_theorem1(_config(n_grid=(4096, 8192, 16384)))
     assert len(pools) == 1
     assert pooled["records"] == serial["records"]
+
+
+@pytest.mark.parametrize("raw", [None, "0"])
+def test_threads_unset_or_zero_means_auto(monkeypatch, raw):
+    if raw is None:
+        monkeypatch.delenv("WAVEDENS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("WAVEDENS_THREADS", raw)
+    assert thread_count() == min(os.cpu_count() or 1, 8)
 
 
 def test_threads_env_override(monkeypatch):

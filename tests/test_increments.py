@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ def test_increment_rejects_a_bandwidth_that_is_not_positive_and_finite(h):
     sample = draw(den, SeedSpec(1), 100)
     with pytest.raises(ConfigurationError, match="bandwidth h must be positive"):
         increment(sample, den, 0.5, h, ([0.0], [1.0]))
+
+
+def test_increment_takes_a_point_that_overflows_as_outside_the_box():
+    # with h = 1e-320, (1e308 - x) / h overflows to inf and used to warn;
+    # the value must be that of a far point that stays finite
+    den = make_density("uniform01", 1)
+    box = ([-1.0], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = increment([[0.0], [5e-321], [1e308]], den, 0.0, 1e-320, box)
+    assert far == increment([[0.0], [5e-321], [3e-320]], den, 0.0, 1e-320, box)
+    assert far > 0.0
 
 
 def test_gnx_values_against_direct_count():

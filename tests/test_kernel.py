@@ -74,6 +74,9 @@ def test_localize_haar_section():
     mid = lk.values[len(lk.values) // 2]  # s = 0
     assert mid == 1.0
     assert lk.values[0] == 0.0  # s = -1
+    # sigma, tv and gamma_interval's cost memo hold for these values only
+    with pytest.raises(ValueError, match="read-only"):
+        lk.cell_values()[0] = 1.0
 
 
 def test_localize_db4_norm_and_mass():

@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -200,25 +202,124 @@ def test_gamma_interval_equals_plain_dual(family, d):
             assert np.array_equal(iv.certificate["gdot_lo"], gd_lo)
 
 
-def test_gamma_interval_holds_no_cost_array_after_it_returns():
+def test_gamma_interval_holds_no_cost_array_after_it_returns(monkeypatch):
     # nothing the root finder's callable captures may outlive the call: with
     # the GC off, what three calls leave held must be their certificates and
-    # a few small objects, far less than one 384 x 384 cost array (1.2 MB)
-    lk = localize(ProjectionKernel(build_family("db4"), 2), 0, np.zeros(2), 2.0 ** -6)
-    gamma_interval(lk, 1.0)  # first-call imports and caches
-    gc.collect()
-    gc.disable()
-    tracemalloc.start()
+    # a few small objects, far less than one 384 x 384 cost array (1.2 MB);
+    # the cost memo on the kernel holds floats only
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WAVEDENS_THREADS", threads)
+        lk = localize(ProjectionKernel(build_family("db4"), 2), 0, np.zeros(2), 2.0 ** -6)
+        gamma_interval(lk, 1.0)  # first-call imports and caches
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ivs = [gamma_interval(lk, v) for v in (0.5, 1.0, 2.0)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        certs = sum(iv.certificate[key].nbytes for iv in ivs
+                    for key in ("gdot_hi", "gdot_lo"))
+        assert held <= certs + 64 * 1024, threads
+
+
+def _bits(iv):
+    """Every output of a gamma_interval call, for comparison with ==."""
+    c = iv.certificate
+    return (iv.lo, iv.hi, c["eta_lo"], c["eta_hi"],
+            c["gdot_lo"].tobytes(), c["gdot_hi"].tobytes())
+
+
+def _small_lk(family, d, j=0, x=0.0):
+    step = 2.0 ** -6 if d == 1 else 2.0 ** -2
+    return localize(ProjectionKernel(build_family(family), d), j, np.full(d, x), step)
+
+
+SWEEP = (0.1, 1.0, 2.0, 37.5, 1e6)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+def test_gamma_interval_is_the_same_at_one_and_two_threads(monkeypatch, family, d):
+    # two threads solve the endpoints at once; a fresh kernel per thread
+    # count, so neither run reads costs the other memoized
+    pools = []
+
+    class Counting(limitsets.ThreadPoolExecutor):
+        def __init__(self, *args, **kw):
+            pools.append(self)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(limitsets, "ThreadPoolExecutor", Counting)
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WAVEDENS_THREADS", threads)
+        runs[threads] = [[_bits(gamma_interval(lk, v)) for v in SWEEP]
+                         for lk in (_small_lk(family, d), _small_lk(family, d, 5, 0.71))]
+        assert len(pools) == (0 if threads == "1" else 2 * len(SWEEP))
+    assert runs["1"] == runs["2"]
+
+
+@pytest.mark.parametrize("family,d", [("haar", 2), ("db4", 1), ("db6", 2)])
+def test_gamma_sweep_is_the_same_in_any_order(family, d):
+    # the memo on the kernel changes no value: a forward sweep on one
+    # kernel, a reverse sweep on another and a fresh kernel per v agree
+    forward_lk, reverse_lk = _small_lk(family, d), _small_lk(family, d)
+    forward = [_bits(gamma_interval(forward_lk, v)) for v in SWEEP]
+    reverse = [_bits(gamma_interval(reverse_lk, v)) for v in SWEEP[::-1]][::-1]
+    fresh = [_bits(gamma_interval(_small_lk(family, d), v)) for v in SWEEP]
+    assert forward == reverse == fresh
+
+
+def test_gamma_interval_reuses_the_costs_of_earlier_calls(monkeypatch):
+    calls = []
+    h_positive = limitsets._h_positive
+
+    def counted(t, out=None):
+        calls.append(t.size)
+        return h_positive(t, out=out)
+
+    monkeypatch.setattr(limitsets, "_h_positive", counted)
+    lk = _small_lk("db4", 1)
+    gamma_interval(lk, 1.0)
+    n_first = len(calls)
+    gamma_interval(lk, 2.0)
+    n_second = len(calls) - n_first
+    # the bracket points eta = 1, 4, ... and the probe at 1e-12 are shared
+    assert 0 < n_second < n_first
+    # the same v again: every cost comes from the memo, and only the two
+    # certificate checks run h
+    gamma_interval(lk, 2.0)
+    assert len(calls) - n_first - n_second == 2
+
+
+def test_gamma_interval_shares_a_kernel_between_threads(monkeypatch):
+    # more threads than cores sweep one kernel at once, each in its own
+    # order, with thread switches forced often: every result must equal the
+    # serial result on a fresh kernel
+    monkeypatch.setenv("WAVEDENS_THREADS", "2")
+    expected = {v: _bits(gamma_interval(_small_lk("db4", 2), v)) for v in SWEEP}
+    lk = _small_lk("db4", 2)
+    results = {}
+
+    def sweep(k):
+        results[k] = {v: _bits(gamma_interval(lk, v)) for v in SWEEP[k:] + SWEEP[:k]}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        ivs = [gamma_interval(lk, v) for v in (0.5, 1.0, 2.0)]
-        held = tracemalloc.get_traced_memory()[0] - before
+        workers = [threading.Thread(target=sweep, args=(k,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
     finally:
-        tracemalloc.stop()
-        gc.enable()
-    certs = sum(iv.certificate[key].nbytes for iv in ivs
-                for key in ("gdot_hi", "gdot_lo"))
-    assert held <= certs + 64 * 1024
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert list(results.values()) == [expected] * 4
 
 
 TIGHT = (1e-300, 8.9e-16, 500)  # the tolerances and budget of gamma_interval
