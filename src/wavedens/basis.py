@@ -57,13 +57,13 @@ class ScalingFunction:
         return int(self.support[1] - self.support[0])
 
 
-def build_haar() -> ScalingFunction:
+def build_haar(table_depth: int = DEFAULT_TABLE_DEPTH) -> ScalingFunction:
     """Indicator of [0, 1); filter (1, 1); the table is exact at any depth."""
-    depth = DEFAULT_TABLE_DEPTH
-    n = 1 << depth
-    values = np.ones(n + 1)
+    if table_depth < 1:
+        raise ConfigurationError("table_depth must be >= 1")
+    values = np.ones((1 << table_depth) + 1)
     values[-1] = 0.0  # right-open support
-    return ScalingFunction("haar", (1.0, 1.0), (0, 1), depth, values, "left")
+    return ScalingFunction("haar", (1.0, 1.0), (0, 1), table_depth, values, "left")
 
 
 def _integer_values(c: np.ndarray, width: int) -> np.ndarray:
@@ -116,9 +116,9 @@ def build_daubechies(order: int, table_depth: int = DEFAULT_TABLE_DEPTH) -> Scal
 
 
 def build_family(family: str, table_depth: int = DEFAULT_TABLE_DEPTH) -> ScalingFunction:
-    """Construct a scaling function by family name."""
+    """Construct a scaling function by family name (table_depth >= 1)."""
     if family == "haar":
-        return build_haar()
+        return build_haar(table_depth)
     if family == "db4":
         return build_daubechies(2, table_depth)
     if family == "db6":

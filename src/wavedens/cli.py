@@ -73,8 +73,8 @@ def _cmd_estimate(args) -> int:
     est = fit(basis, args.level, sample)
     box = (np.zeros(args.dim), np.ones(args.dim))
     grid = make_grid(box, args.level, args.grid)
-    fhat = np.atleast_1d(evaluate(est, grid.points))
-    f = np.atleast_1d(density.pdf(grid.points))
+    fhat = evaluate(est, grid.points)
+    f = density.pdf(grid.points)
     efhat = _expected_at(density, basis, args.level, grid.points)
     _write_table(args.emit, "x", grid.points, ["fhat", "efhat", "f"], fhat, efhat, f)
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError, NumericalError
 from .kernel import ProjectionKernel, kernel_Kj_batch
-from .sampling import Density, _as_point, _as_sample, _grid_points
+from .sampling import Density, _as_point, _as_points, _as_sample, _grid_points
 
 GRID_CAP = 4096
 _QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
@@ -197,12 +197,9 @@ def _table_sum(basis: ScalingFunction, j: int, origin: np.ndarray,
 
 
 def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
-    """fhat at points of shape (d,) or (m, d): sum_k alpha_hat phi_{j,k}."""
-    x = np.asarray(x, float)
-    single = x.ndim <= 1 and est.dimension >= 1 and x.size == est.dimension
-    pts = np.atleast_2d(x) if x.ndim <= 1 else x
-    if pts.shape[-1] != est.dimension:
-        raise ValueError("point dimension mismatch")
+    """fhat at points (`_as_points`): sum_k alpha_hat phi_{j,k}, a float at
+    one point and an array of shape (m,) at m points."""
+    pts, single = _as_points(x, est.dimension)
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     d, j = est.dimension, est.level
@@ -219,8 +216,7 @@ def evaluate_kernel_form(basis: ScalingFunction, j: int, sample, x) -> float:
     if n == 0:
         raise ValueError("empty sample")
     pk = ProjectionKernel(basis, d)
-    xx = np.broadcast_to(_as_point(x, d), (n, d))
-    return float(kernel_Kj_batch(pk, j, xx, sample).sum() / n)
+    return float(kernel_Kj_batch(pk, j, _as_point(x, d), sample).sum() / n)
 
 
 def _mass_vectors(density: Density, basis: ScalingFunction, j: int,
@@ -266,7 +262,7 @@ def _mass_vectors(density: Density, basis: ScalingFunction, j: int,
 
 def _expected_at(density: Density, basis: ScalingFunction, j: int,
                  pts: np.ndarray) -> np.ndarray:
-    """E fhat at points of shape (m, d).
+    """E fhat at points (`_as_points`) as an array of shape (m,).
 
     E fhat(x) = sum_k alpha_{j,k} phi_{j,k}(x) with the population
     coefficients alpha_{j,k} = integral phi_{j,k} f.  Both the tensor basis
@@ -278,9 +274,10 @@ def _expected_at(density: Density, basis: ScalingFunction, j: int,
     """
     if j < 0:
         raise ConfigurationError("level j must be >= 0")
+    d = density.dimension
+    pts = _as_points(pts, d)[0]
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    d = density.dimension
     w = basis.width
     coords = pts.reshape(-1, 1)
     if len(coords) == 0:
@@ -317,8 +314,7 @@ def _expected_at(density: Density, basis: ScalingFunction, j: int,
 def expected_estimator(density: Density, basis: ScalingFunction, j: int, x) -> float:
     """E fhat(x) = integral of K_j(x, .) f at one point x of shape (d,) (or a
     scalar when d = 1); `_expected_at` evaluates many points at once."""
-    x = _as_point(x, density.dimension)
-    return float(_expected_at(density, basis, j, x.reshape(1, -1))[0])
+    return float(_expected_at(density, basis, j, _as_point(x, density.dimension))[0])
 
 
 @dataclass(frozen=True)
@@ -330,17 +326,17 @@ class EvaluationGrid:
         return len(self.points)
 
 
-def make_grid(box, j: int, kind: str = "dyadic", cap: int = GRID_CAP,
-              midpoints: bool = True) -> EvaluationGrid:
-    """Evaluation grid over the hypercube H = box.
+def make_grid(box, j: int, kind: str = "dyadic") -> EvaluationGrid:
+    """Evaluation grid over the hypercube H = box, d the size of box[0].
 
     "dyadic": points x with 2^j x integer, plus cell midpoints while the
-    per-dimension budget allows; subsampled evenly above the cap.
-    "uniform": cap evenly spaced points per dimension.
+    GRID_CAP points per dimension allow; subsampled evenly above the cap.
+    "uniform": 512 evenly spaced points per dimension.
     """
-    lo = np.atleast_1d(np.asarray(box[0], float))
-    hi = np.atleast_1d(np.asarray(box[1], float))
-    d = len(lo)
+    if j < 0:
+        raise ConfigurationError("level j must be >= 0")
+    d = np.size(box[0])
+    lo, hi = (_as_point(v, d) for v in box)
     axes = []
     all_dyadic = True
     if kind == "dyadic":
@@ -350,10 +346,10 @@ def make_grid(box, j: int, kind: str = "dyadic", cap: int = GRID_CAP,
             if len(ms) == 0:
                 raise ConfigurationError("no dyadic points in H at this level")
             pts = ms / scale
-            if len(pts) > cap:
-                stride = int(np.ceil(len(pts) / cap))
+            if len(pts) > GRID_CAP:
+                stride = int(np.ceil(len(pts) / GRID_CAP))
                 pts = pts[::stride]
-            elif midpoints and 2 * len(ms) - 1 <= cap:
+            elif 2 * len(ms) - 1 <= GRID_CAP:
                 mids = (ms[:-1] + 0.5) / scale
                 pts = np.sort(np.concatenate([pts, mids]))
                 all_dyadic = False
@@ -361,7 +357,7 @@ def make_grid(box, j: int, kind: str = "dyadic", cap: int = GRID_CAP,
     elif kind == "uniform":
         all_dyadic = False
         for i in range(d):
-            axes.append(np.linspace(lo[i], hi[i], min(cap, 512)))
+            axes.append(np.linspace(lo[i], hi[i], 512))
     else:
         raise ConfigurationError(f"unknown grid kind {kind!r}")
     return EvaluationGrid(_grid_points(axes), all_dyadic)
@@ -388,7 +384,10 @@ def sup_deviation(est: WaveletDensityEstimator, density: Density,
     log 2^(dj))) with natural log; the rescaling factor is 2^(-dj) = h_n
     (the bandwidth), which is the only reading under which the statistic
     is O(1) and the algebraic link to the increment functionals holds.
+    `expected`, E fhat on the grid, must have shape (len(grid),).
     """
+    if expected is not None and np.shape(expected) != (len(grid),):
+        raise ConfigurationError(f"expected has shape {np.shape(expected)}, not ({len(grid)},)")
     fhat = evaluate(est, grid.points)
     f = np.asarray(density.pdf(grid.points), float)
     if np.any(f <= 0.0):

@@ -22,7 +22,7 @@ from .errors import ConfigurationError
 from .estimator import _expected_at, fit, make_grid, sup_deviation
 from .kernel import ProjectionKernel, localize
 from .limitsets import theorem2_threshold
-from .sampling import SeedSpec, draw, make_density
+from .sampling import SeedSpec, _as_point, draw, make_density
 
 DEFAULT_RATIO_THRESHOLD_FRACTION = 0.25
 
@@ -102,9 +102,7 @@ class ExperimentConfig:
             raise ConfigurationError("replications must be an integer >= 1")
         if not _is_int(self.base_seed) or not 0 <= self.base_seed < 2 ** 64:
             raise ConfigurationError("base_seed must be an integer in [0, 2^64)")
-        lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in self.h)
-        if len(lo) != self.dimension or len(hi) != self.dimension:
-            raise ConfigurationError("H must have one (lo, hi) pair per dimension")
+        lo, hi = (_as_point(v, self.dimension) for v in self.h)
         if not np.all((0.0 <= lo) & (lo < hi) & (hi <= 1.0)):  # NaN fails too
             raise ConfigurationError("H must be a nondegenerate box inside [0, 1]^d")
         if self.schedule.dimension != self.dimension:
@@ -121,7 +119,7 @@ class ExperimentConfig:
         return make_density(self.density, self.dimension), build_family(self.basis)
 
     def to_dict(self) -> dict:
-        lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in self.h)
+        lo, hi = (_as_point(v, self.dimension) for v in self.h)
         return {
             "theorem": self.theorem,
             "density": self.density,

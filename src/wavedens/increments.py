@@ -72,8 +72,8 @@ def _corner_counts(sample, density: Density, x, j: int, halfwidth: float,
     for every corner s of the lattice."""
     sample = _as_sample(sample)
     n, d = sample.shape
-    x = np.atleast_1d(np.asarray(x, float))
-    fx = float(density.pdf(x))
+    x = _as_point(x, d)
+    fx = density.pdf(x)
     if fx <= 0.0:
         raise ValueError("f(x) must be positive")
     if not np.all(np.isfinite(sample)):
@@ -176,8 +176,8 @@ def relation_check(sample, density: Density, x, j: int, basis: ScalingFunction) 
     """
     sample = _as_sample(sample)
     n, d = sample.shape
-    x = np.atleast_1d(np.asarray(x, float))
-    fx = float(density.pdf(x))
+    x = _as_point(x, d)
+    fx = density.pdf(x)
     h = 2.0 ** (-d * j)
     log_term = math.log(1.0 / h)
     fhat = evaluate_kernel_form(basis, j, sample, x)
@@ -185,8 +185,7 @@ def relation_check(sample, density: Density, x, j: int, basis: ScalingFunction) 
     lhs = math.sqrt(n * h / (2.0 * fx * log_term)) * (fhat - efhat)
     pk = ProjectionKernel(basis, d)
     z = (2.0 ** j) * x
-    ktilde_at_atoms = kernel_K_batch(pk, np.broadcast_to(z, (n, d)),
-                                     (2.0 ** j) * sample)
+    ktilde_at_atoms = kernel_K_batch(pk, z, (2.0 ** j) * sample)
     rhs = (ktilde_at_atoms.sum() / math.sqrt(n) - math.sqrt(n) * h * efhat) \
         / math.sqrt(2.0 * fx * h * log_term)
     return abs(lhs - rhs)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError
-from .sampling import _grid_points
+from .sampling import _as_point, _grid_points
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,13 @@ def _kernel1(sf: ScalingFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def kernel_K_batch(pk: ProjectionKernel, x, y) -> np.ndarray:
-    """Vectorized K over batches of points with shape (..., d)."""
+    """Vectorized K over batches of points with shape (..., d), d the
+    kernel's dimension; the leading axes of x and y broadcast."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
+    if x.shape[-1:] != (pk.dimension,) or y.shape[-1:] != (pk.dimension,):
+        raise ConfigurationError(f"points must have shape (..., d) with d = "
+                                 f"{pk.dimension}, got {x.shape} and {y.shape}")
     return np.prod(_kernel1(pk.basis, x, y), axis=-1)
 
 
@@ -59,10 +63,9 @@ def kernel_Kj_batch(pk: ProjectionKernel, j: int, x, y) -> np.ndarray:
     """K_j(x, y) = 2^(dj) K(2^j x, 2^j y) over batches of points (..., d)."""
     if j < 0:
         raise ConfigurationError("level j must be >= 0")
-    x = np.asarray(x, float)
-    d = x.shape[-1]
     scale = 2.0 ** j
-    return 2.0 ** (d * j) * kernel_K_batch(pk, scale * x, scale * np.asarray(y, float))
+    return 2.0 ** (pk.dimension * j) * kernel_K_batch(
+        pk, scale * np.asarray(x, float), scale * np.asarray(y, float))
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,7 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
     if j < 0:
         raise ConfigurationError("level j must be >= 0")
     d = pk.dimension
-    x = np.atleast_1d(np.asarray(x, float))
-    if x.size != d:
-        raise ConfigurationError(f"center has {x.size} coordinates, kernel is {d}-dimensional")
+    x = _as_point(x, d)
     if not np.all(np.isfinite(x)):
         raise ConfigurationError(f"center must be finite, got {x.tolist()}")
     axes = _corner_axes(pk.basis.width, grid_step, d)

@@ -25,12 +25,21 @@ def _as_sample(sample) -> np.ndarray:
     return sample[:, None] if sample.ndim == 1 else sample
 
 
-def _as_point(x, d: int) -> np.ndarray:
-    """One point as a (d,) float array; a scalar is a point only when d = 1."""
+def _as_points(x, d: int, one: bool = False) -> tuple:
+    """Points as an (m, d) float array, and whether x is one point: an (m, d)
+    array is m points, a (d,) array is one, and so is a scalar when d = 1.
+    Other shapes raise ConfigurationError, as does (m, d) when one is set."""
     x = np.asarray(x, float)
-    if x.ndim > 1 or x.size != d:
-        raise ValueError(f"point must have shape (d,) with d = {d}, got {x.shape}")
-    return x.reshape(d)
+    single = x.ndim < 2 and x.size == d > 0
+    if not single and (one or x.ndim != 2 or x.shape[1] != d):
+        what = "point must have shape (d,)" if one else "points must have shape (d,) or (m, d)"
+        raise ConfigurationError(f"{what} with d = {d}, got {x.shape}")
+    return x.reshape(-1, d), single
+
+
+def _as_point(x, d: int) -> np.ndarray:
+    """One point as a (d,) float array (`_as_points`); a box is two of them."""
+    return _as_points(x, d, one=True)[0][0]
 
 
 def _grid_points(axes) -> np.ndarray:
@@ -178,14 +187,8 @@ class Density:
     components: tuple
 
     def pdf(self, x) -> np.ndarray:
-        """Density at one point of shape (d,) (a float) or at points of
-        shape (n, d) (an array); other 1-D lengths and widths raise ValueError."""
-        x = np.asarray(x, float)
-        if x.ndim > 2 or (x.ndim and x.shape[-1] != self.dimension):
-            raise ValueError(f"points must have shape (d,) or (n, d) with d = "
-                             f"{self.dimension}, got {x.shape}")
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
+        """Density at points (`_as_points`): a float at one, an (m,) array at m."""
+        pts, single = _as_points(x, self.dimension)
         out = np.zeros(len(pts))
         for w, m in self.components:
             out += w * np.prod(m.pdf(pts), axis=1)
@@ -228,8 +231,7 @@ class Density:
 
     def sup_on(self, box) -> float:
         """sup of the pdf over a box H (grid search plus local refinement)."""
-        lo = np.atleast_1d(np.asarray(box[0], float))
-        hi = np.atleast_1d(np.asarray(box[1], float))
+        lo, hi = (_as_point(v, self.dimension) for v in box)
         n = 2049 if self.dimension == 1 else 257
         pts = _grid_points([np.linspace(lo[i], hi[i], n) for i in range(self.dimension)])
         vals = self.pdf(pts)

@@ -33,6 +33,15 @@ def test_basis_table(tmp_path):
     assert any(abs(v) > 0 for v in phi)
 
 
+@pytest.mark.parametrize("family", ["haar", "db4"])
+def test_basis_depth_below_one_exits_2(tmp_path, capsys, family):
+    # Haar used to exit 0 and write the depth-12 table
+    out = tmp_path / "phi.csv"
+    assert main(["basis", "--family", family, "--depth", "0", "--emit", str(out)]) == 2
+    assert "table_depth must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kernel_sidecar(tmp_path):
     out = tmp_path / "kt.csv"
     code = main(["kernel", "--family", "haar", "--level", "0",

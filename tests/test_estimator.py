@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wavedens import estimator
 from wavedens.basis import build_family, eval_phi
 from wavedens.errors import ConfigurationError, NumericalError
-from wavedens.estimator import (SupStatistic, _expected_at, evaluate,
+from wavedens.estimator import (GRID_CAP, SupStatistic, _expected_at, evaluate,
                                 evaluate_kernel_form, expected_estimator, fit,
                                 make_grid, sup_deviation)
 from wavedens.kernel import ProjectionKernel, kernel_Kj_batch
@@ -97,9 +97,16 @@ def test_make_grid_dyadic():
 
 
 def test_make_grid_cap():
-    grid = make_grid(((0.0,), (1.0,)), 15, "dyadic", cap=1000)
-    assert len(grid) <= 1000
+    # 2^15 + 1 dyadic points stride down to at most GRID_CAP, no midpoints
+    grid = make_grid(((0.0,), (1.0,)), 15, "dyadic")
+    assert len(grid) <= GRID_CAP
     assert grid.dyadic
+
+
+def test_make_grid_rejects_a_negative_level():
+    # raised "ValueError: negative shift count"
+    with pytest.raises(ConfigurationError, match="level"):
+        make_grid(((0.0,), (1.0,)), -1)
 
 
 def test_sup_deviation_centered_is_zero():
@@ -119,7 +126,7 @@ def test_sup_deviation_matches_histogram_oracle():
     n, j = 2 ** 16, 5
     sample = draw(den, SeedSpec(1), n)
     est = fit(basis, j, sample)
-    grid = make_grid(((0.25,), (0.75,)), j, "dyadic", midpoints=False)
+    grid = make_grid(((0.25,), (0.75,)), j, "dyadic")  # lattice and midpoints
     stat = sup_deviation(est, den, grid, "theorem1")
     norm = np.sqrt(n * 2.0 ** -j / (2.0 * j * np.log(2.0)))
     devs = [norm * (_histogram_fhat(sample, j, x) - 1.0) for x in grid.points]

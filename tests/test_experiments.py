@@ -118,6 +118,9 @@ def test_config_validation():
         _config(h=((0.8,), (0.2,))).validate()
     with pytest.raises(ConfigurationError):
         _config(h=((-0.1,), (0.5,))).validate()
+    for h in (((0.25,), (0.75, 0.75)), ((0.25, 0.25), (0.75, 0.75)), ((0.25,), [[0.75]])):
+        with pytest.raises(ConfigurationError, match="shape"):  # H's corners are (d,) points
+            _config(h=h).validate()
     with pytest.raises(ConfigurationError):
         _config(density="unknown").validate()
     with pytest.raises(ConfigurationError):

@@ -6,11 +6,14 @@ import pytest
 
 from wavedens.basis import build_family
 from wavedens.errors import ConfigurationError
-from wavedens.estimator import evaluate_kernel_form
+from wavedens.estimator import (_expected_at, evaluate, evaluate_kernel_form,
+                                expected_estimator, fit, make_grid,
+                                sup_deviation)
 from wavedens.increments import (cell_density, from_cell_density, g_n_x,
                                  g_tilde_n_x, increment, relation_check,
                                  theta)
-from wavedens.kernel import ProjectionKernel, localize
+from wavedens.kernel import (ProjectionKernel, kernel_K_batch, kernel_Kj_batch,
+                             localize)
 from wavedens.sampling import SeedSpec, draw, make_density
 
 STEP = 2.0 ** -10
@@ -182,16 +185,26 @@ def test_theta_rejects_a_foreign_lattice():
     assert math.isfinite(theta(lk, same))
 
 
+HAAR = build_family("haar")
+
+
 def _kernel_form_at(den, sample, p):
-    return evaluate_kernel_form(build_family("haar"), 2, sample, p)
+    return evaluate_kernel_form(HAAR, 2, sample, p)
 
 
 def _box(d):
     return -np.ones(d), np.ones(d)
 
 
+def _grid_sum(box):
+    return make_grid(box, 3).points.sum()
+
+
+# The one-point arguments: a (d,) array, or a scalar when d = 1.  A box is
+# two such points; make_grid takes d from its first corner.
 POINT_CALLS = {
     "evaluate_kernel_form": _kernel_form_at,
+    "expected_estimator": lambda den, sample, p: expected_estimator(den, HAAR, 2, p),
     "increment_x": lambda den, sample, p: increment(
         sample, den, p, 0.01, _box(den.dimension)),
     "increment_s": lambda den, sample, p: increment(
@@ -206,23 +219,107 @@ POINT_CALLS = {
         np.full(den.dimension, 0.2), p),
     "box_prob_grid_hi": lambda den, sample, p: den.box_prob_grid(
         [np.array([0.2])] * den.dimension, p).item(),
+    "localize_center": lambda den, sample, p: localize(
+        ProjectionKernel(HAAR, den.dimension), 1, p, 0.25).sigma,
+    "g_n_x_center": lambda den, sample, p: g_n_x(
+        sample, den, p, 2, grid_step=0.25).values.sum(),
+    "g_tilde_n_x_center": lambda den, sample, p: g_tilde_n_x(
+        sample, den, p, 2, 1.0, grid_step=0.25).values.sum(),
+    "relation_check_center": lambda den, sample, p: relation_check(
+        sample, den, p, 2, HAAR),
+    "make_grid_lo": lambda den, sample, p: _grid_sum((p, np.full(den.dimension, 0.6))),
+    "make_grid_hi": lambda den, sample, p: _grid_sum((np.full(den.dimension, 0.2), p)),
+    "sup_on_lo": lambda den, sample, p: den.sup_on((p, np.full(den.dimension, 0.6))),
+    "sup_on_hi": lambda den, sample, p: den.sup_on((np.full(den.dimension, 0.2), p)),
 }
 
 
 @pytest.mark.parametrize("call", sorted(POINT_CALLS))
 def test_a_point_needs_exactly_d_coordinates(call):
-    # at d = 2, [0.3] used to be broadcast to (0.3, 0.3)
+    # at d = 2, [0.3] used to be broadcast to (0.3, 0.3); make_grid raised
+    # IndexError on a short upper corner
     f = POINT_CALLS[call]
     den2 = make_density("uniform01", 2)
     sample2 = draw(den2, SeedSpec(9), 200)
     for p in ([0.3], 0.3, [0.3, 0.3, 0.3], [[0.3, 0.3]]):
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ConfigurationError, match="shape"):
             f(den2, sample2, p)
     assert math.isfinite(f(den2, sample2, [0.3, 0.3]))
     # at d = 1 a scalar is a point
     den1 = make_density("cosine_bump", 1)
     sample1 = draw(den1, SeedSpec(9), 200)
     assert f(den1, sample1, 0.3) == f(den1, sample1, [0.3])
+
+
+# The point-array arguments: one point as above, or an (m, d) array of m.
+ARRAY_CALLS = {
+    "evaluate": lambda den, sample, p: evaluate(fit(HAAR, 2, sample), p),
+    "pdf": lambda den, sample, p: den.pdf(p),
+    "_expected_at": lambda den, sample, p: _expected_at(den, HAAR, 2, p),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ARRAY_CALLS))
+def test_points_are_one_point_or_an_m_by_d_array(call):
+    # _expected_at read (2, 1) points at d = 2 as one point (0.3, 0.6)
+    f = ARRAY_CALLS[call]
+    den2 = make_density("uniform01", 2)
+    sample2 = draw(den2, SeedSpec(9), 200)
+    for p in ([0.3], 0.3, [0.3, 0.3, 0.3], [[0.3], [0.6]], [[0.3, 0.3, 0.3]],
+              [[[0.3, 0.3]]]):
+        with pytest.raises(ConfigurationError, match="shape"):
+            f(den2, sample2, p)
+    pts = [[0.3, 0.3], [0.6, 0.6]]
+    both = f(den2, sample2, pts)
+    assert both.shape == (2,)
+    assert np.array_equal(both, [np.ravel(f(den2, sample2, p))[0] for p in pts])
+    den1 = make_density("cosine_bump", 1)
+    sample1 = draw(den1, SeedSpec(9), 200)
+    assert np.array_equal(f(den1, sample1, 0.3), f(den1, sample1, [0.3]))
+    assert f(den1, sample1, [[0.3], [0.6]]).shape == (2,)
+
+
+def _pk(d):
+    return ProjectionKernel(HAAR, d)
+
+
+# The kernel batches: (..., d) arrays with d = pk.dimension on the last
+# axis, whose leading axes broadcast.
+BATCH_CALLS = {
+    "kernel_K_batch_x": lambda d, p: kernel_K_batch(_pk(d), p, np.full(d, 0.4)),
+    "kernel_K_batch_y": lambda d, p: kernel_K_batch(_pk(d), np.full(d, 0.4), p),
+    "kernel_Kj_batch_x": lambda d, p: kernel_Kj_batch(_pk(d), 3, p, np.full(d, 0.35)),
+    "kernel_Kj_batch_y": lambda d, p: kernel_Kj_batch(_pk(d), 3, np.full(d, 0.35), p),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BATCH_CALLS))
+def test_kernel_batches_need_d_on_the_last_axis(call):
+    # at d = 2, ([0.3], [0.9]) was a 1-D kernel and [[0.4]] was broadcast
+    # over both coordinates
+    f = BATCH_CALLS[call]
+    for p in ([0.3], 0.3, [0.3, 0.3, 0.3], [[0.3]], [[0.3, 0.3, 0.3]]):
+        with pytest.raises(ConfigurationError, match="shape"):
+            f(2, p)
+    one, other = f(2, [0.3, 0.3]), f(2, [0.6, 0.6])
+    assert one.shape == ()
+    assert np.array_equal(f(2, [[[0.3, 0.3]], [[0.6, 0.6]]]), [[one], [other]])
+    with pytest.raises(ConfigurationError, match="shape"):
+        f(1, 0.3)  # no last axis
+    assert f(1, [0.3]) == f(1, [[0.3]])[0]
+
+
+def test_sup_deviation_needs_expected_on_every_grid_point():
+    # one value of E fhat used to be applied to all 9 grid points
+    den = make_density("uniform01", 1)
+    est = fit(HAAR, 3, draw(den, SeedSpec(8), 256))
+    grid = make_grid(((0.25,), (0.75,)), 3)
+    for bad in (np.array([0.5]), np.ones((len(grid), 1)), np.ones(len(grid) + 1)):
+        with pytest.raises(ConfigurationError, match="shape"):
+            sup_deviation(est, den, grid, "theorem1", expected=bad)
+    given = sup_deviation(est, den, grid, "theorem1", expected=np.ones(len(grid)))
+    computed = sup_deviation(est, den, grid, "theorem1")  # E fhat = 1 inside
+    assert (given.sup_dev, given.inf_dev) == (computed.sup_dev, computed.inf_dev)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
