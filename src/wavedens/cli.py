@@ -72,7 +72,7 @@ def _cmd_estimate(args) -> int:
     sample = draw(density, SeedSpec(args.seed), args.n)
     est = fit(basis, args.level, sample)
     box = (np.zeros(args.dim), np.ones(args.dim))
-    grid = make_grid(box, args.level, args.grid)
+    grid = make_grid(box, args.level)
     fhat = evaluate(est, grid.points)
     f = density.pdf(grid.points)
     efhat = _expected_at(density, basis, args.level, grid.points)
@@ -119,9 +119,6 @@ def _load_config(path: str) -> ExperimentConfig:
 
 def _cmd_theorem(args, which: int) -> int:
     config = _load_config(args.config)
-    if config.theorem != which:
-        raise ConfigurationError(f"config declares theorem {config.theorem}, "
-                                 f"subcommand expects {which}")
     report = run_theorem1(config) if which == 1 else run_theorem2(config)
     out = args.output or config.output or f"theorem{which}"
     csv_path, json_path = emit_report(report, out)
@@ -166,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--density", required=True)
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--grid", choices=["dyadic", "uniform"], default="dyadic")
     e.add_argument("--emit", required=True)
 
     g = sub.add_parser("increments", help="emit an increment function table")

@@ -319,48 +319,39 @@ def expected_estimator(density: Density, basis: ScalingFunction, j: int, x) -> f
 
 @dataclass(frozen=True)
 class EvaluationGrid:
+    """The points of H where the sup statistics are taken, as (m, d)."""
+
     points: np.ndarray = field(repr=False)
-    dyadic: bool
 
     def __len__(self):
         return len(self.points)
 
 
-def make_grid(box, j: int, kind: str = "dyadic") -> EvaluationGrid:
+def make_grid(box, j: int) -> EvaluationGrid:
     """Evaluation grid over the hypercube H = box, d the size of box[0].
 
-    "dyadic": points x with 2^j x integer, plus cell midpoints while the
-    GRID_CAP points per dimension allow; subsampled evenly above the cap.
-    "uniform": 512 evenly spaced points per dimension.
+    Per dimension: the points x with 2^j x integer, plus cell midpoints while
+    the GRID_CAP points per dimension allow; subsampled evenly above the cap.
     """
     if j < 0:
         raise ConfigurationError("level j must be >= 0")
     d = np.size(box[0])
     lo, hi = (_as_point(v, d) for v in box)
     axes = []
-    all_dyadic = True
-    if kind == "dyadic":
-        scale = 1 << j
-        for i in range(d):
-            ms = np.arange(int(np.ceil(lo[i] * scale)), int(np.floor(hi[i] * scale)) + 1)
-            if len(ms) == 0:
-                raise ConfigurationError("no dyadic points in H at this level")
-            pts = ms / scale
-            if len(pts) > GRID_CAP:
-                stride = int(np.ceil(len(pts) / GRID_CAP))
-                pts = pts[::stride]
-            elif 2 * len(ms) - 1 <= GRID_CAP:
-                mids = (ms[:-1] + 0.5) / scale
-                pts = np.sort(np.concatenate([pts, mids]))
-                all_dyadic = False
-            axes.append(pts)
-    elif kind == "uniform":
-        all_dyadic = False
-        for i in range(d):
-            axes.append(np.linspace(lo[i], hi[i], 512))
-    else:
-        raise ConfigurationError(f"unknown grid kind {kind!r}")
-    return EvaluationGrid(_grid_points(axes), all_dyadic)
+    scale = 1 << j
+    for i in range(d):
+        ms = np.arange(int(np.ceil(lo[i] * scale)), int(np.floor(hi[i] * scale)) + 1)
+        if len(ms) == 0:
+            raise ConfigurationError("no dyadic points in H at this level")
+        pts = ms / scale
+        if len(pts) > GRID_CAP:
+            stride = int(np.ceil(len(pts) / GRID_CAP))
+            pts = pts[::stride]
+        elif 2 * len(ms) - 1 <= GRID_CAP:
+            mids = (ms[:-1] + 0.5) / scale
+            pts = np.sort(np.concatenate([pts, mids]))
+        axes.append(pts)
+    return EvaluationGrid(_grid_points(axes))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +48,9 @@ class ResolutionSchedule:
                 raise ConfigurationError("ER schedule needs a finite c > 0")
         else:
             raise ConfigurationError(f"unknown schedule regime {self.regime!r}")
+        if len(self.params) > 1:  # the param checked above, and nothing else
+            raise ConfigurationError(
+                f"{self.regime} schedule takes one param, got {list(self.params)}")
 
 
 def schedule_level(schedule: ResolutionSchedule, n: int) -> int:
@@ -79,7 +82,6 @@ class ExperimentConfig:
     n_grid: tuple
     replications: int
     base_seed: int
-    grid: str = "dyadic"
     output: str | None = None
     ratio_threshold: float | None = None  # theorem 2; None = derive from limit sets
 
@@ -109,8 +111,8 @@ class ExperimentConfig:
             raise ConfigurationError("schedule dimension mismatch")
         if self.theorem == 1 and self.schedule.regime != "CRS":
             raise ConfigurationError("theorem 1 requires the CRS regime")
-        if self.grid not in ("dyadic", "uniform"):
-            raise ConfigurationError(f"unknown grid kind {self.grid!r}")
+        if self.theorem == 1 and self.ratio_threshold is not None:
+            raise ConfigurationError("ratio_threshold is for theorem 2 only")
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigurationError("output must be a path string")
         rt = self.ratio_threshold
@@ -130,7 +132,6 @@ class ExperimentConfig:
             "n_grid": list(self.n_grid),
             "replications": self.replications,
             "base_seed": self.base_seed,
-            "grid": self.grid,
             "output": self.output,
             "ratio_threshold": self.ratio_threshold,
             "log_convention": "natural",
@@ -140,6 +141,11 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict) or not isinstance(data["schedule"], dict):
             raise ConfigurationError("the config and its schedule must be JSON objects")
+        unknown = set(data) - {f.name for f in fields(cls)} - {"log_convention"}
+        if unknown:
+            raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
+        if data.get("log_convention", "natural") != "natural":
+            raise ConfigurationError('log_convention must be "natural"')
         sched = dict(data["schedule"])
         regime = sched.pop("regime")
         schedule = ResolutionSchedule(regime, sched, data["dimension"])
@@ -160,7 +166,6 @@ class ExperimentConfig:
             n_grid=tuple(data["n_grid"]),
             replications=data["replications"],
             base_seed=data["base_seed"],
-            grid=data.get("grid", "dyadic"),
             output=data.get("output"),
             ratio_threshold=data.get("ratio_threshold"),
         )
@@ -187,7 +192,7 @@ def _run_pairs(config: ExperimentConfig, density, basis, mode: str) -> dict:
         run = pool.map if threads > 1 and config.replications > 1 else map
         for n_idx, n in enumerate(config.n_grid):
             j = schedule_level(config.schedule, n)
-            grid = make_grid(config.h, j, config.grid)
+            grid = make_grid(config.h, j)
             expected = None
             if mode == "theorem1":
                 expected = _expected_at(density, basis, j, grid.points)
@@ -234,8 +239,8 @@ def _quantiles(xs):
 
 def run_theorem1(config: ExperimentConfig) -> dict:
     """Monte Carlo check of the exact LIL fluctuation rate under CRS."""
-    if config.schedule.regime != "CRS":
-        raise ConfigurationError("theorem 1 experiment requires a CRS schedule")
+    if config.theorem != 1:
+        raise ConfigurationError(f"run_theorem1 got a theorem-{config.theorem} config")
     groups = _run_pairs(config, *config.validate(), "theorem1")
     summary = {}
     for n, (info, recs) in groups.items():
@@ -285,6 +290,8 @@ def run_theorem2(config: ExperimentConfig) -> dict:
     threshold; under a CRS schedule (contrast run) the headline is the
     fraction below the threshold at the largest n.
     """
+    if config.theorem != 2:
+        raise ConfigurationError(f"run_theorem2 got a theorem-{config.theorem} config")
     density, basis = config.validate()
     threshold, delta = _ratio_threshold(config, density, basis)
     groups = _run_pairs(config, density, basis, "ratio")

@@ -232,6 +232,8 @@ class Density:
     def sup_on(self, box) -> float:
         """sup of the pdf over a box H (grid search plus local refinement)."""
         lo, hi = (_as_point(v, self.dimension) for v in box)
+        if not np.all(lo <= hi):  # NaN fails too
+            raise ConfigurationError("box must have lo <= hi in every coordinate")
         n = 2049 if self.dimension == 1 else 257
         pts = _grid_points([np.linspace(lo[i], hi[i], n) for i in range(self.dimension)])
         vals = self.pdf(pts)

@@ -202,11 +202,17 @@ def test_validate_rejects_values_the_run_cannot_use(tmp_path):
            {"schedule": {"regime": "ER", "c": float("nan")}},
            {"schedule": {"regime": "ER", "c": float("inf")}},
            {"grid": "hexagonal"}, {"output": 3}, {"ratio_threshold": "0.25"},
-           {"h": [[None], [0.75]]}, {"n_grid": 4096}, {"schedule": 1}]
+           {"h": [[None], [0.75]]}, {"n_grid": 4096}, {"schedule": 1},
+           # keys the run would ignore
+           {"ratio_treshold": 0.1}, {"grid": "dyadic"}, {"log_convention": "log2"},
+           {"schedule": {"regime": "CRS", "gamma": 0.6, "c": 5}}]
     for i, change in enumerate(bad):
         cfg = _write_cfg(tmp_path, dict(CFG1, theorem=2, **change), f"bad{i}.json")
         assert main(["validate", "--config", cfg]) == 2, change
     assert main(["validate", "--config", _write_cfg(tmp_path, [CFG1])]) == 2
+    # theorem 1 never reads ratio_threshold
+    t1 = _write_cfg(tmp_path, dict(CFG1, ratio_threshold=0.25), "t1.json")
+    assert main(["validate", "--config", t1]) == 2
 
 
 _JSON = st.recursive(

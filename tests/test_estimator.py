@@ -87,20 +87,21 @@ def test_expected_estimator_uniform_is_one():
 
 
 def test_make_grid_dyadic():
-    grid = make_grid(((0.25,), (0.75,)), 3, "dyadic")
+    grid = make_grid(((0.25,), (0.75,)), 3)
     # 5 dyadic points k/8 in [1/4, 3/4] plus 4 midpoints
     assert len(grid) == 9
-    assert not grid.dyadic
+    assert np.array_equal(grid.points[:, 0], np.arange(4, 13) / 16)
     assert grid.points.min() == 0.25 and grid.points.max() == 0.75
-    uniform = make_grid(((0.0,), (1.0,)), 3, "uniform")
-    assert len(uniform) == 512
+    with pytest.raises(ConfigurationError, match="no dyadic points"):
+        make_grid(((0.75,), (0.25,)), 3)  # a reversed box
 
 
 def test_make_grid_cap():
     # 2^15 + 1 dyadic points stride down to at most GRID_CAP, no midpoints
-    grid = make_grid(((0.0,), (1.0,)), 15, "dyadic")
+    grid = make_grid(((0.0,), (1.0,)), 15)
     assert len(grid) <= GRID_CAP
-    assert grid.dyadic
+    scaled = grid.points * 2.0 ** 15
+    assert np.array_equal(scaled, np.floor(scaled))
 
 
 def test_make_grid_rejects_a_negative_level():
@@ -112,7 +113,7 @@ def test_make_grid_rejects_a_negative_level():
 def test_sup_deviation_centered_is_zero():
     den = make_density("uniform01", 1)
     basis = build_family("haar")
-    grid = make_grid(((0.25,), (0.75,)), 4, "dyadic")
+    grid = make_grid(((0.25,), (0.75,)), 4)
     sample = draw(den, SeedSpec(8), 4096)
     est = fit(basis, 4, sample)
     stat = sup_deviation(est, den, grid, "theorem1",
@@ -126,7 +127,7 @@ def test_sup_deviation_matches_histogram_oracle():
     n, j = 2 ** 16, 5
     sample = draw(den, SeedSpec(1), n)
     est = fit(basis, j, sample)
-    grid = make_grid(((0.25,), (0.75,)), j, "dyadic")  # lattice and midpoints
+    grid = make_grid(((0.25,), (0.75,)), j)  # lattice and midpoints
     stat = sup_deviation(est, den, grid, "theorem1")
     norm = np.sqrt(n * 2.0 ** -j / (2.0 * j * np.log(2.0)))
     devs = [norm * (_histogram_fhat(sample, j, x) - 1.0) for x in grid.points]
@@ -138,7 +139,7 @@ def test_ratio_mode_of_expectation_is_zero():
     # n -> infinity surrogate: Haar cell averages of the uniform density
     den = make_density("uniform01", 1)
     basis = build_family("haar")
-    grid = make_grid(((0.25,), (0.75,)), 3, "dyadic")
+    grid = make_grid(((0.25,), (0.75,)), 3)
     efhat = np.array([expected_estimator(den, basis, 3, p) for p in grid.points])
     assert np.max(np.abs(efhat - 1.0)) < 1e-9
 
@@ -147,7 +148,7 @@ def test_sup_deviation_errors():
     den = make_density("uniform01", 1)
     basis = build_family("haar")
     sample = draw(den, SeedSpec(0), 64)
-    grid = make_grid(((0.25,), (0.75,)), 2, "dyadic")
+    grid = make_grid(((0.25,), (0.75,)), 2)
     est0 = fit(basis, 0, sample)
     with pytest.raises(ValueError):
         sup_deviation(est0, den, grid, "theorem1")

@@ -60,6 +60,8 @@ def test_schedule_validation():
         ResolutionSchedule("ER", {"c": -1.0})
     with pytest.raises(ConfigurationError):
         ResolutionSchedule("POISSON", {})
+    with pytest.raises(ConfigurationError, match="one param"):
+        ResolutionSchedule("CRS", {"gamma": 0.6, "c": 5})
     with pytest.raises(ConfigurationError):
         schedule_level(_crs(), 2)
 
@@ -92,7 +94,6 @@ def _configs(draw):
                                    max_size=4, unique=True).map(sorted))),
         replications=draw(st.integers(1, 1000)),
         base_seed=draw(st.integers(0, 2 ** 64 - 1)),
-        grid=draw(st.sampled_from(["dyadic", "uniform"])),
         output=draw(st.none() | st.text(max_size=8)),
         ratio_threshold=draw(st.none() | finite),
     )
@@ -158,6 +159,14 @@ def test_run_theorem2_crs_contrast():
     assert rep["limit_delta"] is None
     assert rep["threshold"] == 0.25
     assert "fraction_below_at_largest_n_ge_090" in rep["predicates"]
+
+
+def test_each_driver_runs_only_its_own_theorem():
+    # each used to run the other theorem's config; the report kept its theorem
+    with pytest.raises(ConfigurationError, match="theorem-1 config"):
+        run_theorem2(_config())
+    with pytest.raises(ConfigurationError, match="theorem-2 config"):
+        run_theorem1(_config(theorem=2))
 
 
 def test_stream_indices_partition():

@@ -89,6 +89,12 @@ def test_sup_on():
     cos = make_density("cosine_bump", 1)
     assert abs(cos.sup_on(((0.0,), (1.0,))) - 1.5) < 1e-9
     assert abs(cos.sup_on(((0.25,), (0.75,))) - 1.0) < 1e-9
+    # a reversed box used to return 1.0; a NaN corner fails the same check
+    for box in (((0.75,), (0.25,)), ((float("nan"),), (0.75,)), ((0.25,), (float("nan"),))):
+        with pytest.raises(ConfigurationError, match="lo <= hi"):
+            uni.sup_on(box)
+    with pytest.raises(ConfigurationError, match="lo <= hi"):
+        make_density("uniform01", 2).sup_on(((0.25, 0.75), (0.75, 0.5)))
 
 
 def test_make_density_errors():
