@@ -13,7 +13,7 @@ from .experiments import (ExperimentConfig, ResolutionSchedule, RunRecord,
                           emit_report, realized_ratio, run_theorem1,
                           run_theorem2, schedule_level)
 from .increments import (IncrementFunction, cell_density, from_cell_density,
-                         g_n_x, g_tilde_n_x, increment, relation_check, theta)
+                         g_n_x, g_tilde_n_x, relation_check, theta)
 from .kernel import (LocalizedKernel, ProjectionKernel, cell_lower_corners,
                      kernel_K_batch, kernel_Kj_batch, localize)
 from .limitsets import (IntervalJ, gamma_interval, h_poisson, strassen_extremal,
@@ -32,7 +32,7 @@ __all__ = [
     "ExperimentConfig", "ResolutionSchedule", "RunRecord", "emit_report",
     "realized_ratio", "run_theorem1", "run_theorem2", "schedule_level",
     "IncrementFunction", "cell_density", "from_cell_density", "g_n_x",
-    "g_tilde_n_x", "increment", "relation_check", "theta",
+    "g_tilde_n_x", "relation_check", "theta",
     "LocalizedKernel", "ProjectionKernel", "cell_lower_corners",
     "kernel_K_batch", "kernel_Kj_batch", "localize",
     "IntervalJ", "gamma_interval", "h_poisson", "strassen_extremal",

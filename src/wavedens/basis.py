@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 
-DEFAULT_TABLE_DEPTH = 12
+_TABLE_DEPTH = 12
 
 # Daubechies extremal-phase filters, sum(c) = 2 convention.
 _SQRT3 = math.sqrt(3.0)
@@ -57,13 +57,11 @@ class ScalingFunction:
         return int(self.support[1] - self.support[0])
 
 
-def build_haar(table_depth: int = DEFAULT_TABLE_DEPTH) -> ScalingFunction:
+def build_haar() -> ScalingFunction:
     """Indicator of [0, 1); filter (1, 1); the table is exact at any depth."""
-    if table_depth < 1:
-        raise ConfigurationError("table_depth must be >= 1")
-    values = np.ones((1 << table_depth) + 1)
+    values = np.ones((1 << _TABLE_DEPTH) + 1)
     values[-1] = 0.0  # right-open support
-    return ScalingFunction("haar", (1.0, 1.0), (0, 1), table_depth, values, "left")
+    return ScalingFunction("haar", (1.0, 1.0), (0, 1), _TABLE_DEPTH, values, "left")
 
 
 def _integer_values(c: np.ndarray, width: int) -> np.ndarray:
@@ -86,22 +84,20 @@ def _integer_values(c: np.ndarray, width: int) -> np.ndarray:
     return v / s
 
 
-def build_daubechies(order: int, table_depth: int = DEFAULT_TABLE_DEPTH) -> ScalingFunction:
+def build_daubechies(order: int) -> ScalingFunction:
     """Daubechies scaling function of the given order (2 -> D4, 3 -> D6).
 
     Values at integers come from the eigenvalue-1 eigenvector of the
     refinement matrix; dyadic values follow by cascading the two-scale
-    relation phi(x) = sum_k c_k phi(2x - k) down to table_depth.
+    relation phi(x) = sum_k c_k phi(2x - k) down to the table depth.
     """
     if order not in _DB_FILTERS:
         raise ConfigurationError(f"unsupported Daubechies order {order} (use 2 or 3)")
-    if table_depth < 1:
-        raise ConfigurationError("table_depth must be >= 1")
     c = _DB_FILTERS[order]
     width = 2 * order - 1
     tbl = np.zeros(width + 1)
     tbl[1:width] = _integer_values(c, width)
-    for lev in range(1, table_depth + 1):
+    for lev in range(1, _TABLE_DEPTH + 1):
         prev_n = width << (lev - 1)
         n = width << lev
         new = np.zeros(n + 1)
@@ -112,17 +108,17 @@ def build_daubechies(order: int, table_depth: int = DEFAULT_TABLE_DEPTH) -> Scal
                 new[j0:j1 + 1] += ck * tbl[j0 - off:j1 - off + 1]
         tbl = new
     name = {2: "db4", 3: "db6"}[order]
-    return ScalingFunction(name, tuple(c), (0, width), table_depth, tbl)
+    return ScalingFunction(name, tuple(c), (0, width), _TABLE_DEPTH, tbl)
 
 
-def build_family(family: str, table_depth: int = DEFAULT_TABLE_DEPTH) -> ScalingFunction:
-    """Construct a scaling function by family name (table_depth >= 1)."""
+def build_family(family: str) -> ScalingFunction:
+    """Construct a scaling function by family name."""
     if family == "haar":
-        return build_haar(table_depth)
+        return build_haar()
     if family == "db4":
-        return build_daubechies(2, table_depth)
+        return build_daubechies(2)
     if family == "db6":
-        return build_daubechies(3, table_depth)
+        return build_daubechies(3)
     raise ConfigurationError(f"unknown scaling-function family {family!r}")
 
 

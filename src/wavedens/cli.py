@@ -45,7 +45,7 @@ def _write_table(path: str, prefix: str, points, names: list, *columns):
 
 
 def _cmd_basis(args) -> int:
-    sf = build_family(args.family, args.depth)
+    sf = build_family(args.family)
     a, _ = sf.support
     xs = a + np.arange(len(sf.values)) * 2.0 ** -sf.table_depth
     _write_csv(args.emit, "x,phi",
@@ -120,7 +120,7 @@ def _load_config(path: str) -> ExperimentConfig:
 def _cmd_theorem(args, which: int) -> int:
     config = _load_config(args.config)
     report = run_theorem1(config) if which == 1 else run_theorem2(config)
-    out = args.output or config.output or f"theorem{which}"
+    out = args.output or f"theorem{which}"
     csv_path, json_path = emit_report(report, out)
     status = "pass" if report["passed"] else "FAIL"
     print(f"theorem{which}: {status}  records={csv_path} summary={json_path}")
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("basis", help="emit a scaling-function value table")
     b.add_argument("--family", required=True, choices=["haar", "db4", "db6"])
-    b.add_argument("--depth", type=int, default=12)
     b.add_argument("--emit", required=True)
 
     k = sub.add_parser("kernel", help="emit a localized kernel section")

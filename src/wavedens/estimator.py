@@ -17,7 +17,8 @@ import numpy as np
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError, NumericalError
 from .kernel import ProjectionKernel, kernel_Kj_batch
-from .sampling import Density, _as_point, _as_points, _as_sample, _grid_points
+from .sampling import (Density, _as_point, _as_points, _as_sample, _check_level,
+                       _grid_points)
 
 GRID_CAP = 4096
 _QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
@@ -118,10 +119,9 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
 
     Raises ValueError for an empty or non-finite sample, and for one whose
     k-box would exceed _MAX_TABLE_CELLS cells or reach |2^j x| >= 2^62."""
-    if j < 0:
-        raise ConfigurationError("level j must be >= 0")
     sample = _as_sample(sample)
     n, d = sample.shape
+    _check_level(j, d)
     if n == 0:
         raise ValueError("empty sample")
     # Per column: numpy reduces an (n, d) array along axis 0 about ten times
@@ -272,9 +272,8 @@ def _expected_at(density: Density, basis: ScalingFunction, j: int,
     coordinates reach.  Haar is exact; for smooth bases a step-halving check
     guards the quadrature.
     """
-    if j < 0:
-        raise ConfigurationError("level j must be >= 0")
     d = density.dimension
+    _check_level(j, d)
     pts = _as_points(pts, d)[0]
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
@@ -303,8 +302,8 @@ def _expected_at(density: Density, basis: ScalingFunction, j: int,
 
     if basis.interp == "left":
         return at(None)
-    # never coarser than the 2^-(j+12) knots of phi's depth-12 table
-    step = 2.0 ** -max(j + 12, 15)
+    # never coarser than the 2^-(j + table_depth) knots of phi's table
+    step = 2.0 ** -max(j + basis.table_depth, 15)
     coarse, fine = at(step), at(step / 2.0)
     if np.any(np.abs(fine - coarse) > 1e-7):
         raise NumericalError("expected_estimator quadrature did not converge")
@@ -333,10 +332,11 @@ def make_grid(box, j: int) -> EvaluationGrid:
     Per dimension: the points x with 2^j x integer, plus cell midpoints while
     the GRID_CAP points per dimension allow; subsampled evenly above the cap.
     """
-    if j < 0:
-        raise ConfigurationError("level j must be >= 0")
     d = np.size(box[0])
+    _check_level(j, d)
     lo, hi = (_as_point(v, d) for v in box)
+    if not np.all(np.isfinite([lo, hi])):
+        raise ConfigurationError("H must have finite corners")
     axes = []
     scale = 1 << j
     for i in range(d):

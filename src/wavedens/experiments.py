@@ -82,8 +82,6 @@ class ExperimentConfig:
     n_grid: tuple
     replications: int
     base_seed: int
-    output: str | None = None
-    ratio_threshold: float | None = None  # theorem 2; None = derive from limit sets
 
     def validate(self):
         """Check the config's invariants; returns the density and the
@@ -111,13 +109,6 @@ class ExperimentConfig:
             raise ConfigurationError("schedule dimension mismatch")
         if self.theorem == 1 and self.schedule.regime != "CRS":
             raise ConfigurationError("theorem 1 requires the CRS regime")
-        if self.theorem == 1 and self.ratio_threshold is not None:
-            raise ConfigurationError("ratio_threshold is for theorem 2 only")
-        if self.output is not None and not isinstance(self.output, str):
-            raise ConfigurationError("output must be a path string")
-        rt = self.ratio_threshold
-        if rt is not None and not (isinstance(rt, numbers.Real) and 0.0 < rt < math.inf):
-            raise ConfigurationError("ratio_threshold must be a positive number")
         return make_density(self.density, self.dimension), build_family(self.basis)
 
     def to_dict(self) -> dict:
@@ -132,8 +123,6 @@ class ExperimentConfig:
             "n_grid": list(self.n_grid),
             "replications": self.replications,
             "base_seed": self.base_seed,
-            "output": self.output,
-            "ratio_threshold": self.ratio_threshold,
             "log_convention": "natural",
         }
 
@@ -166,8 +155,6 @@ class ExperimentConfig:
             n_grid=tuple(data["n_grid"]),
             replications=data["replications"],
             base_seed=data["base_seed"],
-            output=data.get("output"),
-            ratio_threshold=data.get("ratio_threshold"),
         )
 
 
@@ -269,9 +256,7 @@ def run_theorem1(config: ExperimentConfig) -> dict:
             "predicates": predicates, "passed": all(predicates.values())}
 
 
-def _ratio_threshold(config: ExperimentConfig, density, basis) -> tuple:
-    if config.ratio_threshold is not None:
-        return float(config.ratio_threshold), None
+def _threshold(config: ExperimentConfig, density, basis) -> tuple:
     if config.schedule.regime == "ER":
         pk = ProjectionKernel(basis, config.dimension)
         step = 2.0 ** -10 if config.dimension == 1 else 2.0 ** -5
@@ -293,7 +278,7 @@ def run_theorem2(config: ExperimentConfig) -> dict:
     if config.theorem != 2:
         raise ConfigurationError(f"run_theorem2 got a theorem-{config.theorem} config")
     density, basis = config.validate()
-    threshold, delta = _ratio_threshold(config, density, basis)
+    threshold, delta = _threshold(config, density, basis)
     groups = _run_pairs(config, density, basis, "ratio")
     summary = {}
     for n, (info, recs) in groups.items():

@@ -21,7 +21,7 @@ from .errors import ConfigurationError
 from .estimator import evaluate_kernel_form, expected_estimator
 from .kernel import (LocalizedKernel, ProjectionKernel, _box_diff, _box_sum,
                      _corner_axes, kernel_K_batch)
-from .sampling import Density, _as_point, _as_sample
+from .sampling import Density, _as_point, _as_sample, _check_level
 
 DEFAULT_GRID_STEP = 2.0 ** -10
 
@@ -42,29 +42,6 @@ class IncrementFunction:
         return float(self.axes[0][1] - self.axes[0][0])
 
 
-def increment(sample, density: Density, x, h: float, s_box) -> float:
-    """Empirical-process increment sqrt(n)(P_n - P) of the rescaled box.
-
-    x and the corners of s_box = (s, u), s <= u coordinatewise, are points
-    of shape (d,) (or scalars when d = 1); sample points are rescaled by
-    u_i = (X_i - x) / h^(1/d); the centering probability is analytic.
-    """
-    sample = _as_sample(sample)
-    n, d = sample.shape
-    x = _as_point(x, d)
-    s, u = (_as_point(v, d) for v in s_box)
-    if not 0.0 < h < math.inf:  # NaN too
-        raise ConfigurationError(f"bandwidth h must be positive and finite, got {h!r}")
-    if np.any(s > u):
-        raise ValueError("degenerate box: lower corner above upper corner")
-    scale = h ** (1.0 / d)
-    with np.errstate(over="ignore"):  # a point that overflows is outside every finite box
-        z = (sample - x) / scale
-    inside = np.all((z >= s) & (z <= u), axis=1)
-    p = density.box_prob(x + s * scale, x + u * scale)
-    return float(math.sqrt(n) * (inside.mean() - p))
-
-
 def _corner_counts(sample, density: Density, x, j: int, halfwidth: float,
                    grid_step: float):
     """Set-up shared by g_{n,x} and gtilde_{n,x}: (n, x, f(x), h, axes, counts),
@@ -72,6 +49,7 @@ def _corner_counts(sample, density: Density, x, j: int, halfwidth: float,
     for every corner s of the lattice."""
     sample = _as_sample(sample)
     n, d = sample.shape
+    _check_level(j, d)
     x = _as_point(x, d)
     fx = density.pdf(x)
     if fx <= 0.0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError
-from .sampling import _as_point, _grid_points
+from .sampling import _as_point, _check_level, _grid_points
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ def kernel_K_batch(pk: ProjectionKernel, x, y) -> np.ndarray:
 
 def kernel_Kj_batch(pk: ProjectionKernel, j: int, x, y) -> np.ndarray:
     """K_j(x, y) = 2^(dj) K(2^j x, 2^j y) over batches of points (..., d)."""
-    if j < 0:
-        raise ConfigurationError("level j must be >= 0")
+    _check_level(j, pk.dimension)
     scale = 2.0 ** j
     return 2.0 ** (pk.dimension * j) * kernel_K_batch(
         pk, scale * np.asarray(x, float), scale * np.asarray(y, float))
@@ -138,9 +137,8 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
     The grid step must divide 2W so that cells tile the domain box
     (cell alignment keeps Haar discontinuities on grid lines).
     """
-    if j < 0:
-        raise ConfigurationError("level j must be >= 0")
     d = pk.dimension
+    _check_level(j, d)
     x = _as_point(x, d)
     if not np.all(np.isfinite(x)):
         raise ConfigurationError(f"center must be finite, got {x.tolist()}")

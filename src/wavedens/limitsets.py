@@ -131,8 +131,7 @@ def h_poisson(t):
         return float(out[0]) if scalar else out
     out = np.full(t.shape, np.inf)
     pos = t > 0.0
-    tp = t[pos]
-    out[pos] = tp * np.log(tp) - tp + 1.0
+    out[pos] = _h_positive(t[pos])
     out[t == 0.0] = 1.0
     return float(out[0]) if scalar else out
 

@@ -9,6 +9,7 @@ replication is reproducible in isolation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,15 @@ def _as_points(x, d: int, one: bool = False) -> tuple:
 def _as_point(x, d: int) -> np.ndarray:
     """One point as a (d,) float array (`_as_points`); a box is two of them."""
     return _as_points(x, d, one=True)[0][0]
+
+
+def _check_level(j: int, d: int) -> None:
+    """A multiresolution level in d dimensions: j >= 0 with 2^(d j) a finite
+    float, so that the bandwidth 2^(-d j) is positive."""
+    if j < 0:
+        raise ConfigurationError("level j must be >= 0")
+    if d * j >= sys.float_info.max_exp:
+        raise ConfigurationError(f"level j must keep 2^(d j) finite, got j = {j} at d = {d}")
 
 
 def _grid_points(axes) -> np.ndarray:

@@ -16,19 +16,6 @@ def test_haar_is_indicator():
     np.testing.assert_array_equal(eval_phi(sf, xs), [0, 1, 1, 1, 0, 0])
 
 
-def test_haar_table_follows_the_depth():
-    # Haar ignored the depth and always tabulated depth 12
-    sf = build_family("haar", 3)
-    assert sf.table_depth == 3
-    np.testing.assert_array_equal(sf.values, [1, 1, 1, 1, 1, 1, 1, 1, 0])
-    for fam in ("haar", "db4", "db6"):
-        with pytest.raises(ConfigurationError, match="table_depth"):
-            build_family(fam, 0)
-    for build in (build_haar, lambda depth: build_daubechies(2, depth)):
-        with pytest.raises(ConfigurationError, match="table_depth"):
-            build(-1)
-
-
 def test_filters_sum_to_two():
     for fam in ("haar", "db4", "db6"):
         sf = build_family(fam)

@@ -33,15 +33,6 @@ def test_basis_table(tmp_path):
     assert any(abs(v) > 0 for v in phi)
 
 
-@pytest.mark.parametrize("family", ["haar", "db4"])
-def test_basis_depth_below_one_exits_2(tmp_path, capsys, family):
-    # Haar used to exit 0 and write the depth-12 table
-    out = tmp_path / "phi.csv"
-    assert main(["basis", "--family", family, "--depth", "0", "--emit", str(out)]) == 2
-    assert "table_depth must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_kernel_sidecar(tmp_path):
     out = tmp_path / "kt.csv"
     code = main(["kernel", "--family", "haar", "--level", "0",
@@ -102,6 +93,26 @@ def test_kernel_negative_level_exits_2(tmp_path, capsys):
     assert main(["kernel", "--family", "haar", "--level", "-2",
                  "--step", "0.0625", "--emit", str(out)]) == 2
     assert "level j must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SAMPLE = ["--density", "uniform01", "--n", "50", "--step", "0.0625"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--family", "haar", "--level", "2000", "--step", "0.0625"],
+    ["estimate", "--family", "haar", "--level", "2000", "--density", "uniform01",
+     "--n", "50"],
+    ["increments", "--kind", "gnx", "--level", "2000", *_SAMPLE],
+    ["increments", "--kind", "gtilde", "--level", "-3", *_SAMPLE],
+    ["increments", "--kind", "gtilde", "--level", "2000", *_SAMPLE],
+])
+def test_a_level_out_of_range_exits_2(tmp_path, capsys, argv):
+    # level 2000 overflowed 2^j (exit 1 with a traceback), and gtilde
+    # took any level: -3 gave values, 2000 gave nan after RuntimeWarnings
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--emit", str(out)]) == 2
+    assert "level j must" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -202,6 +213,7 @@ def test_validate_rejects_values_the_run_cannot_use(tmp_path):
            {"schedule": {"regime": "ER", "c": float("nan")}},
            {"schedule": {"regime": "ER", "c": float("inf")}},
            {"grid": "hexagonal"}, {"output": 3}, {"ratio_threshold": "0.25"},
+           {"output": "run"}, {"ratio_threshold": 0.25},
            {"h": [[None], [0.75]]}, {"n_grid": 4096}, {"schedule": 1},
            # keys the run would ignore
            {"ratio_treshold": 0.1}, {"grid": "dyadic"}, {"log_convention": "log2"},

@@ -94,6 +94,10 @@ def test_make_grid_dyadic():
     assert grid.points.min() == 0.25 and grid.points.max() == 0.75
     with pytest.raises(ConfigurationError, match="no dyadic points"):
         make_grid(((0.75,), (0.25,)), 3)  # a reversed box
+    # a NaN corner raised ValueError, an infinite one OverflowError
+    for box in (((np.nan,), (0.75,)), ((0.25,), (np.inf,)), ((-np.inf,), (0.75,))):
+        with pytest.raises(ConfigurationError, match="finite corners"):
+            make_grid(box, 3)
 
 
 def test_make_grid_cap():

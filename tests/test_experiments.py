@@ -94,8 +94,6 @@ def _configs(draw):
                                    max_size=4, unique=True).map(sorted))),
         replications=draw(st.integers(1, 1000)),
         base_seed=draw(st.integers(0, 2 ** 64 - 1)),
-        output=draw(st.none() | st.text(max_size=8)),
-        ratio_threshold=draw(st.none() | finite),
     )
 
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,51 +9,12 @@ from wavedens.estimator import (_expected_at, evaluate, evaluate_kernel_form,
                                 expected_estimator, fit, make_grid,
                                 sup_deviation)
 from wavedens.increments import (cell_density, from_cell_density, g_n_x,
-                                 g_tilde_n_x, increment, relation_check,
-                                 theta)
+                                 g_tilde_n_x, relation_check, theta)
 from wavedens.kernel import (ProjectionKernel, kernel_K_batch, kernel_Kj_batch,
                              localize)
 from wavedens.sampling import SeedSpec, draw, make_density
 
 STEP = 2.0 ** -10
-
-
-def test_increment_direct():
-    den = make_density("uniform01", 1)
-    sample = draw(den, SeedSpec(1), 400)
-    x, h = np.array([0.5]), 2.0 ** -4
-    val = increment(sample, den, x, h, (np.array([-1.0]), np.array([1.0])))
-    inside = np.mean(np.abs(sample[:, 0] - 0.5) <= h)
-    expected = math.sqrt(400) * (inside - 2 * h)
-    assert abs(val - expected) < 1e-12
-
-
-def test_increment_degenerate_box():
-    den = make_density("uniform01", 1)
-    sample = draw(den, SeedSpec(1), 10)
-    with pytest.raises(ValueError):
-        increment(sample, den, [0.5], 0.1, ([1.0], [-1.0]))
-
-
-@pytest.mark.parametrize("h", [math.nan, 0.0, -1.0, math.inf])
-def test_increment_rejects_a_bandwidth_that_is_not_positive_and_finite(h):
-    # NaN gave NaN, 0 gave 0.0 after a divide-by-zero warning, -1 gave 4.4
-    den = make_density("uniform01", 1)
-    sample = draw(den, SeedSpec(1), 100)
-    with pytest.raises(ConfigurationError, match="bandwidth h must be positive"):
-        increment(sample, den, 0.5, h, ([0.0], [1.0]))
-
-
-def test_increment_takes_a_point_that_overflows_as_outside_the_box():
-    # with h = 1e-320, (1e308 - x) / h overflows to inf and used to warn;
-    # the value must be that of a far point that stays finite
-    den = make_density("uniform01", 1)
-    box = ([-1.0], [1.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        far = increment([[0.0], [5e-321], [1e308]], den, 0.0, 1e-320, box)
-    assert far == increment([[0.0], [5e-321], [3e-320]], den, 0.0, 1e-320, box)
-    assert far > 0.0
 
 
 def test_gnx_values_against_direct_count():
@@ -192,10 +152,6 @@ def _kernel_form_at(den, sample, p):
     return evaluate_kernel_form(HAAR, 2, sample, p)
 
 
-def _box(d):
-    return -np.ones(d), np.ones(d)
-
-
 def _grid_sum(box):
     return make_grid(box, 3).points.sum()
 
@@ -205,14 +161,6 @@ def _grid_sum(box):
 POINT_CALLS = {
     "evaluate_kernel_form": _kernel_form_at,
     "expected_estimator": lambda den, sample, p: expected_estimator(den, HAAR, 2, p),
-    "increment_x": lambda den, sample, p: increment(
-        sample, den, p, 0.01, _box(den.dimension)),
-    "increment_s": lambda den, sample, p: increment(
-        sample, den, np.full(den.dimension, 0.5), 0.01,
-        (p, _box(den.dimension)[1])),
-    "increment_u": lambda den, sample, p: increment(
-        sample, den, np.full(den.dimension, 0.5), 0.01,
-        (-np.full(den.dimension, 0.3), p)),
     "box_prob_lo": lambda den, sample, p: den.box_prob(
         p, np.full(den.dimension, 0.6)),
     "box_prob_hi": lambda den, sample, p: den.box_prob(
