@@ -25,6 +25,7 @@ _QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
 _MAX_TABLE_CELLS = 1 << 28  # largest coefficient box fit allocates (2 GiB)
 _MAX_SHIFT = 2.0 ** 62  # |2^j x| bound that keeps the int64 shift arithmetic exact
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1
+_MAX_NODE = 2 ** 52  # i + 1/2 is an exact float for integers 0 <= i < 2^52
 
 
 @dataclass(frozen=True)
@@ -175,35 +176,88 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     return WaveletDensityEstimator(basis, j, n, d, origin, table)
 
 
-def _table_sum(basis: ScalingFunction, j: int, origin: np.ndarray,
-               table: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """sum_k table[k - origin] prod_i phi(2^j x_i - k_i) at finite points of
-    shape (m, d); the table is 0 outside its box."""
-    shape = table.shape
+def _floor_scaled(y, j: int) -> int:
+    """floor(2^j y) for a finite float y, as a Python int: exact at any level."""
+    p, q = float(y).as_integer_ratio()
+    return (p << j) // q
+
+
+def _plan(basis: ScalingFunction, j: int, pts: np.ndarray) -> tuple:
+    """The half of a table sum at finite points pts (m, d) that no table
+    enters: (basis, first, factors), with first[i] the first shift
+    floor(2^j x_i) - (width - 1) on axis i (int64, (m,)) and factors[i][o]
+    = phi(2^j x_i - first[i] - o), from the shift loop run on each axis
+    alone: d * width arrays of m values, not the width^d products.
+
+    2^j x is clipped to [-2^62, 2^62], which keeps the int64 floors exact;
+    one past the largest float is clipped from inf.  fit's tables hold
+    shifts in [-2^62 + 513 - width, 2^62 - 512], so a clipped point still
+    meets none of them, and first - origin stays in int64."""
+    with np.errstate(over="ignore"):
+        xs = np.clip(pts * (2.0 ** j), -_MAX_SHIFT, _MAX_SHIFT)
+    first, factors = [], []
+    for i in range(xs.shape[1]):
+        phis = []
+
+        def keep(k, offset, start, base, vals):
+            phis.append(vals)
+            if not offset[0]:
+                first.append(k[:, 0])
+
+        _for_each_shift(basis, xs[:, i:i + 1], np.zeros(1, np.int64), (1,), keep)
+        factors.append(phis)
+    return basis, first, factors
+
+
+def _apply(plan: tuple, origin: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k table[k - origin] prod_i phi(2^j x_i - k_i) at the points of a
+    `_plan`; the table is 0 outside its box.  As in fit's shift loop, each
+    product is formed in axis order and the offsets are summed in ascending
+    order, last axis fastest.  When every shift of the plan lies inside the
+    table box, the mask of shifts inside it is all ones and is skipped: a
+    product times 1.0 is the product."""
+    basis, first, factors = plan
+    w, d, shape = basis.width, len(first), table.shape
+    ks = [f - o for f, o in zip(first, origin)]  # table index of the first shift
+    covered = all(k.min() >= 0 and k.max() + w <= m for k, m in zip(ks, shape))
+    if not covered:
+        # a first shift outside [-w, shape] leaves all w shifts outside, as
+        # the clipped one does; the flat index stays small
+        ks = [np.clip(k, -w, m) for k, m in zip(ks, shape)]
+    strides = [math.prod(shape[i + 1:]) for i in range(d)]
+    base = ks[-1]
+    for i in range(d - 1):
+        base = base + ks[i] * strides[i]
     flat = table.ravel()
-    out = np.zeros(len(pts))
-    # Points farther than width outside the box meet no table shift; clipping
-    # them there keeps the int64 floor of the shift loop in range.
-    w = basis.width
-    xs = np.clip(pts * (2.0 ** j), origin - w, origin + np.array(shape) + w)
-
-    def add(k, offset, start, base, vals):
-        ks = k + offset
-        inside = np.all((ks >= 0) & (ks < shape), axis=1)
-        out[:] += flat.take(base + start, mode="clip") * vals * inside
-
-    _for_each_shift(basis, xs, origin, shape, add)
+    out = np.zeros(len(base))
+    for offset in itertools.product(range(w), repeat=d):
+        vals = factors[0][offset[0]]
+        for i in range(1, d):
+            vals = vals * factors[i][offset[i]]
+        term = flat.take(base + int(np.dot(offset, strides)), mode="clip") * vals
+        if not covered:
+            term *= np.all([(k >= -o) & (k < m - o)
+                            for k, o, m in zip(ks, offset, shape)], axis=0)
+        out += term
     return out
 
 
 def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
-    """fhat at points (`_as_points`): sum_k alpha_hat phi_{j,k}, a float at
-    one point and an array of shape (m,) at m points."""
-    pts, single = _as_points(x, est.dimension)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+    """fhat at points (`_as_points`) or at the points of an EvaluationGrid:
+    sum_k alpha_hat phi_{j,k}, a float at one point and an array of shape
+    (m,) at m points.  A grid keeps the `_plan` of each basis and level it
+    is evaluated at, so that evaluating it again calls eval_phi no more."""
     d, j = est.dimension, est.level
-    out = _table_sum(est.basis, j, est.origin, est.table, pts)
+    grid = isinstance(x, EvaluationGrid)
+    plans = x._plans if grid else {}
+    pts, single = _as_points(x.points if grid else x, d)
+    key = (id(est.basis), j)  # the plan holds the basis, so its id is not reused
+    plan = plans.get(key)
+    if plan is None:
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        plan = plans[key] = _plan(est.basis, j, pts)
+    out = _apply(plan, est.origin, est.table)
     out *= 2.0 ** (d * j / 2.0)
     return float(out[0]) if single else out
 
@@ -283,27 +337,33 @@ def _expected_at(density: Density, basis: ScalingFunction, j: int,
         return np.zeros(len(pts))
     # the shifts at y are floor(y) - (w - 1) .. floor(y); those that meet
     # [0, 1] lie in [-(w - 1), 2^j - 1]
-    scaled = coords * 2.0 ** j
-    k0 = int(np.clip(np.floor(scaled.min()) - (w - 1), 1 - w, 1 << j))
-    k1 = int(np.clip(np.floor(scaled.max()), -w, (1 << j) - 1))
+    k0 = max(1 - w, min(_floor_scaled(coords.min(), j) - (w - 1), 1 << j))
+    k1 = max(-w, min(_floor_scaled(coords.max(), j), (1 << j) - 1))
     if k1 < k0:
         return np.zeros(len(pts))
+    # never coarser than the 2^-(j + table_depth) knots of phi's table
+    step = None if basis.interp == "left" else 2.0 ** -max(j + basis.table_depth, 15)
+    # _mass_vectors puts the cell edges and quadrature nodes at i * 2^-j and
+    # (i + 1/2) * step; past i = 2^52 these are no longer exact floats, so a
+    # cell's two edges can round to one float and its mass read 0
+    if (k1 + w) * (1 if step is None else round(2.0 / (2.0 ** j * step))) >= _MAX_NODE:
+        raise ConfigurationError(f"the points' cells at level j={j} are finer than "
+                                 "the float lattice E fhat integrates on")
     origin = np.array([k0])
+    plan = _plan(basis, j, coords)
 
     def at(step):
         total = 0.0
         for wgt, v in _mass_vectors(density, basis, j, step, k0, k1):
-            per_axis = _table_sum(basis, j, origin, v, coords).reshape(-1, d)
+            per_axis = _apply(plan, origin, v).reshape(-1, d)
             prod = wgt
             for i in range(d):
                 prod = prod * per_axis[:, i]
             total = total + prod
         return total
 
-    if basis.interp == "left":
+    if step is None:
         return at(None)
-    # never coarser than the 2^-(j + table_depth) knots of phi's table
-    step = 2.0 ** -max(j + basis.table_depth, 15)
     coarse, fine = at(step), at(step / 2.0)
     if np.any(np.abs(fine - coarse) > 1e-7):
         raise NumericalError("expected_estimator quadrature did not converge")
@@ -321,6 +381,8 @@ class EvaluationGrid:
     """The points of H where the sup statistics are taken, as (m, d)."""
 
     points: np.ndarray = field(repr=False)
+    # evaluate's `_plan` per (id(basis), level); a plan holds its basis
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.points)
@@ -338,19 +400,20 @@ def make_grid(box, j: int) -> EvaluationGrid:
     if not np.all(np.isfinite([lo, hi])):
         raise ConfigurationError("H must have finite corners")
     axes = []
-    scale = 1 << j
     for i in range(d):
-        ms = np.arange(int(np.ceil(lo[i] * scale)), int(np.floor(hi[i] * scale)) + 1)
-        if len(ms) == 0:
+        # the integers m with 2^-j m in [lo, hi], as Python ints, so that no
+        # level builds more than the points it returns
+        m0, m1 = -_floor_scaled(-lo[i], j), _floor_scaled(hi[i], j)
+        count = m1 - m0 + 1
+        if count < 1:
             raise ConfigurationError("no dyadic points in H at this level")
-        pts = ms / scale
-        if len(pts) > GRID_CAP:
-            stride = int(np.ceil(len(pts) / GRID_CAP))
-            pts = pts[::stride]
-        elif 2 * len(ms) - 1 <= GRID_CAP:
-            mids = (ms[:-1] + 0.5) / scale
-            pts = np.sort(np.concatenate([pts, mids]))
-        axes.append(pts)
+        if count > GRID_CAP:  # every stride-th point, stride = ceil(count / GRID_CAP)
+            ms, den = range(m0, m1 + 1, -(-count // GRID_CAP)), 1 << j
+        elif 2 * count - 1 <= GRID_CAP:  # with the cell midpoints (2m + 1) / 2^(j+1)
+            ms, den = range(2 * m0, 2 * m1 + 1), 2 << j
+        else:
+            ms, den = range(m0, m1 + 1), 1 << j
+        axes.append(np.array([m / den for m in ms]))  # int / int rounds once
     return EvaluationGrid(_grid_points(axes))
 
 
@@ -379,7 +442,7 @@ def sup_deviation(est: WaveletDensityEstimator, density: Density,
     """
     if expected is not None and np.shape(expected) != (len(grid),):
         raise ConfigurationError(f"expected has shape {np.shape(expected)}, not ({len(grid)},)")
-    fhat = evaluate(est, grid.points)
+    fhat = evaluate(est, grid)
     f = np.asarray(density.pdf(grid.points), float)
     if np.any(f <= 0.0):
         raise ValueError("density must be strictly positive on the grid")

@@ -86,11 +86,16 @@ def _cell_counts(u: np.ndarray, axes: tuple, step: float) -> np.ndarray:
     return counts.reshape((m,) * len(axes)).astype(float)
 
 
+def _check_positive_level(j: int) -> None:
+    """The LIL normalization sqrt(2 f h log(1/h)) needs h = 2^(-dj) < 1."""
+    if j < 1:
+        raise ConfigurationError("level j must be >= 1 (log(1/h) = 0 at j = 0)")
+
+
 def g_n_x(sample, density: Density, x, j: int,
           halfwidth: float = 1.0, grid_step: float = DEFAULT_GRID_STEP) -> IncrementFunction:
     """LIL-normalized increment function over boxes [s, top]."""
-    if j < 1:
-        raise ValueError("level j must be >= 1 (log(1/h) = 0 at j = 0)")
+    _check_positive_level(j)
     n, x, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step)
     scale = 2.0 ** -j
     top = x + halfwidth * scale
@@ -154,6 +159,8 @@ def relation_check(sample, density: Density, x, j: int, basis: ScalingFunction) 
     """
     sample = _as_sample(sample)
     n, d = sample.shape
+    _check_level(j, d)
+    _check_positive_level(j)
     x = _as_point(x, d)
     fx = density.pdf(x)
     h = 2.0 ** (-d * j)

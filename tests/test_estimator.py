@@ -106,6 +106,22 @@ def test_make_grid_cap():
     assert len(grid) <= GRID_CAP
     scaled = grid.points * 2.0 ** 15
     assert np.array_equal(scaled, np.floor(scaled))
+    # every stride-th point, stride ceil((2^15 + 1) / 4096) = 9; below the
+    # cap, the dyadic points and their midpoints
+    assert np.array_equal(grid.points[:, 0], np.arange(0, 2 ** 15 + 1, 9) / 2.0 ** 15)
+    x = make_grid(((0.25,), (0.75,)), 11).points[:, 0]
+    assert np.array_equal(x, np.arange(1024, 3073) / 4096.0)
+    # at j = 60 the dyadic points of [1/4, 3/4] were built in full before
+    # the stride: MemoryError for 4.00 EiB.  No level builds more than the
+    # cap now
+    for j in (60, 1023, *range(0, 1024, 17)):
+        try:
+            x = make_grid(((0.25,), (0.75,)), j).points[:, 0]
+        except ConfigurationError:
+            assert j < 2  # no dyadic point in H
+            continue
+        assert 1 <= len(x) <= GRID_CAP
+        assert x[0] == 0.25 and x[-1] <= 0.75 and np.all(np.diff(x) > 0.0)
 
 
 def test_make_grid_rejects_a_negative_level():
@@ -221,8 +237,9 @@ def test_expected_estimator_rejects_other_point_shapes():
 
 
 def test_evaluate_far_points_are_zero_without_warnings():
-    # 2^j |x| >= 2^63 used to overflow the int64 floor of the shift loop
-    far = [2.0 ** 60, -2.0 ** 60, 1e300, -1e300]
+    # 2^j |x| >= 2^63 used to overflow the int64 floor of the shift loop,
+    # and 2^j x past the largest float warned in the multiply
+    far = [2.0 ** 60, -2.0 ** 60, 1e300, -1e300, 1.7e308, -1.7e308]
     for fam, d in (("haar", 1), ("db4", 2)):
         basis = build_family(fam)
         est = fit(basis, 4, draw(make_density("cosine_bump", d), SeedSpec(3), 200))
@@ -491,3 +508,61 @@ def test_shift_loop_calls_eval_phi_once_per_axis_and_offset(monkeypatch, name, d
     calls.clear()
     evaluate(est, sample[:40])
     assert calls == [40] * (d * basis.width)
+
+
+@pytest.mark.parametrize("name", ["haar", "db4", "db6"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_grid_evaluates_as_its_points_do(name, d):
+    # A grid keeps its plan across fits.  The second fit, on a sample in
+    # [0.3, 0.35]^d, has a table that misses the grid's shifts near 3/4,
+    # where fhat is 0, so the first fit's plan runs with the mask
+    basis = SHIFT_BASES[name]
+    grid = make_grid(((0.25,) * d, (0.75,) * d), 4)
+    wide = draw(make_density("cosine_bump", d), SeedSpec(31), 2000)
+    narrow = 0.3 + 0.05 * SeedSpec(32).rng().random((300, d))
+    for sample in (wide, narrow):
+        est = fit(basis, 4, sample)
+        values = evaluate(est, grid)
+        assert values.tobytes() == evaluate(est, grid.points).tobytes()
+    assert np.any(values == 0.0) and np.any(values > 0.0)
+
+
+@pytest.mark.parametrize("name", ["haar", "db4", "db6"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_grid_evaluated_again_calls_eval_phi_no_more(monkeypatch, name, d):
+    basis = SHIFT_BASES[name]
+    calls = []
+
+    def counting(sf, x):
+        calls.append(len(x))
+        return eval_phi(sf, x)
+
+    monkeypatch.setattr(estimator, "eval_phi", counting)
+    grid = make_grid(((0.25,) * d, (0.75,) * d), 3)
+    rng = SeedSpec(9).rng()
+    ests = [fit(basis, j, rng.random((500, d))) for j in (3, 3, 2)]
+    calls.clear()
+    first = evaluate(ests[0], grid)
+    assert calls == [len(grid)] * (d * basis.width)
+    calls.clear()
+    again = evaluate(ests[1], grid)
+    assert calls == []
+    assert again.tobytes() != first.tobytes()
+    evaluate(ests[2], grid)  # another level is another plan
+    assert calls == [len(grid)] * (d * basis.width)
+
+
+def test_expected_estimator_at_a_level_past_float_resolution():
+    # np.clip(..., 1 << 1000) raised OverflowError; a Haar cell near 0.9 at
+    # j = 61 is below float spacing, and its probability read 0.0
+    den = make_density("uniform01", 1)
+    haar, db4 = build_family("haar"), build_family("db4")
+    assert expected_estimator(den, haar, 1000, 0.0) == 1.0
+    # E fhat(2^-j y) does not depend on j at the edge of the support
+    assert expected_estimator(den, db4, 1000, 0.0) == \
+        pytest.approx(expected_estimator(den, db4, 5, 0.0), abs=1e-9)
+    for basis, j, x in ((haar, 1000, 0.5), (db4, 1000, 0.5), (haar, 61, 0.9),
+                        (db4, 52, 0.9)):
+        with pytest.raises(ConfigurationError, match=f"level j={j}"):
+            expected_estimator(den, basis, j, x)
+    assert expected_estimator(den, haar, 52, 0.9) == 1.0

@@ -225,9 +225,13 @@ def test_threads_unset_or_zero_means_auto(monkeypatch, raw):
 
 
 def test_threads_env_override(monkeypatch):
-    monkeypatch.setenv("WAVEDENS_THREADS", "1")
-    rep1 = run_theorem1(_config(replications=3))
-    monkeypatch.setenv("WAVEDENS_THREADS", "4")
-    rep4 = run_theorem1(_config(replications=3))
-    assert [r.sup_dev for r in rep1["records"]] == \
-           [r.sup_dev for r in rep4["records"]]
+    # the D4 2-D theorem-2 run shares each grid's shift plan across threads
+    smooth = _config(theorem=2, density="cosine_bump", dimension=2, basis="db4",
+                     h=((0.25, 0.25), (0.75, 0.75)), schedule=_er(0.5, d=2),
+                     n_grid=(4096,), replications=4)
+    for run, config in ((run_theorem1, _config(replications=3)), (run_theorem2, smooth)):
+        monkeypatch.setenv("WAVEDENS_THREADS", "1")
+        rep1 = run(config)
+        monkeypatch.setenv("WAVEDENS_THREADS", "4")
+        rep4 = run(config)
+        assert rep1["records"] == rep4["records"]  # sup_dev, inf_dev and argmax

@@ -115,6 +115,15 @@ def test_relation_identity_single_point():
     assert relation_check(sample, den, [0.5], 4, build_family("haar")) < 1e-9
 
 
+def test_relation_check_rejects_a_level_out_of_range():
+    # both raised ZeroDivisionError: log(1/h) = 0 at j = 0, 1/h at h = 0.0
+    den = make_density("uniform01", 1)
+    sample = draw(den, SeedSpec(0), 50)
+    for j in (0, -1, 2000):
+        with pytest.raises(ConfigurationError, match="level j"):
+            relation_check(sample, den, [0.5], j, build_family("haar"))
+
+
 def test_gnx_rejects_level_zero():
     den = make_density("uniform01", 1)
     sample = draw(den, SeedSpec(0), 50)
