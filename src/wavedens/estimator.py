@@ -58,63 +58,6 @@ class WaveletDensityEstimator:
         return float(self.table.sum() * 2.0 ** (-d * j / 2.0))
 
 
-def _for_each_shift(sf: ScalingFunction, xs: np.ndarray, origin: np.ndarray,
-                    shape: tuple, visit):
-    """Visit the shifts that can be nonzero at the points xs (rescaled by 2^j,
-    shape (m, d)).  phi is zero outside [0, width) and at width, so
-    phi(y - s) != 0 needs y - width < s <= y: per axis the width integers
-    from floor(y) - (width - 1).  These are the width^d shifts
-    s = floor(xs) - (width - 1) + offset, offset in [0, width)^d, visited in
-    ascending order (last axis fastest).  Each offset calls
-    visit(k, offset, start, base, vals):
-
-    - k = floor(xs) - (width - 1) - origin, the table index of the first
-      shift (int64, (m, d)), so s = origin + k + offset;
-    - base + start is the flat index of k + offset in a C-ordered table of
-      this shape; where base >= 0, as in fit, flat[start:][base] reaches
-      the cells without building an n-sized index array per offset;
-    - vals = prod_i phi(xs_i - s_i), multiplied in axis order.  Only d * w
-      of these factors differ, and eval_phi runs once for each.
-
-    Haar's phi is the indicator of [0, 1) and its one shift is floor(y), so
-    y - s lies in [0, 1); the float y - floor(y) rounds up to 1.0 for y in
-    [-2^-54, 0), and is moved back below 1.  Continuous bases keep the
-    rounded argument: their phi barely moves over one rounding.
-
-    A callback, not a generator: a generator's caller keeps the previous
-    pair alive while the next one is built, which costs two more n-sized
-    arrays at peak and measurably slows fit."""
-    w = sf.width
-    d = xs.shape[1]
-    k = np.floor(xs, out=np.empty(xs.shape, np.int64), casting="unsafe")
-    k -= origin + (w - 1)
-    strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
-    base = k[:, -1]
-    for i in range(d - 1):
-        base = base + k[:, i] * strides[i]
-    haar = sf.interp == "left"
-
-    def phi_at(i, o):
-        arg = k[:, i] + float(origin[i] + o)  # the shift, an exact float
-        np.subtract(xs[:, i], arg, out=arg)
-        if haar:
-            np.minimum(arg, _BELOW_ONE, out=arg)
-        return eval_phi(sf, arg)
-
-    # phi once per (axis, offset): axes 1.. are kept, axis 0 is built as its
-    # offset comes up, so (d - 1) w + 1 arrays are live and 1 when d = 1
-    kept = [[phi_at(i, o) for o in range(w)] for i in range(1, d)]
-    for o0 in range(w):
-        vals = phi0 = None  # free the last row's arrays before the next
-        phi0 = phi_at(0, o0)
-        for rest in itertools.product(range(w), repeat=d - 1):
-            vals = phi0
-            for phis, o in zip(kept, rest):
-                vals = vals * phis[o]
-            offset = (o0,) + rest
-            visit(k, offset, int(np.dot(offset, strides)), base, vals)
-
-
 def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     """Empirical scaling coefficients alpha_hat_{j,k} = (1/n) sum_i phi_{j,k}(X_i).
 
@@ -143,16 +86,16 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
                          f"j={j}, more than the {_MAX_TABLE_CELLS} fit allocates")
     if max(max(-a, b) for a, b in bounds) >= _MAX_SHIFT:
         raise ValueError(f"sample reaches |2^j x| >= 2^62 at level j={j}")
-    # scaling by 2^j is exact, so these are the bounds of xs
-    xs = sample * scale
     origin = np.floor(lo * scale).astype(np.int64) - (basis.width - 1)
     shape = tuple(int(s) for s in np.floor(hi * scale).astype(np.int64) - origin + 1)
     factor = 2.0 ** (d * j / 2.0) / n
     if basis.interp == "left":
         # Haar: phi(2^j x - k) is 1 at the one shift k = floor(2^j x), so the
         # table counts points per cell.  np.bincount sums integers, exact in
-        # any order, and gives the np.add.at table bit for bit.
-        k = np.floor(xs, out=np.empty(xs.shape, np.int64), casting="unsafe")
+        # any order, and gives the np.add.at table bit for bit.  Scaling by
+        # 2^j is exact, so origin and shape bound these floors.
+        k = np.floor(sample * scale, out=np.empty(sample.shape, np.int64),
+                     casting="unsafe")
         index = k[:, 0]  # in place: the C-order flat index of k - origin
         index -= origin[0]
         for i in range(1, d):
@@ -162,16 +105,21 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
         counts = np.bincount(index, minlength=math.prod(shape))
         table = (counts * factor).reshape(shape)
     else:
-        # Smooth bases keep np.add.at, which adds in sample order; a
-        # np.bincount would sum the float values in another order and move
-        # the coefficients by ulps.
+        # Smooth bases: the transpose of _apply, on the same plan, with the
+        # products formed and the offsets visited in the same order.
+        # np.add.at adds in sample order; a np.bincount would sum the float
+        # values in another order and move the coefficients by ulps.
+        _, first, factors = _plan(basis, j, sample)
+        for k, o in zip(first, origin):
+            k -= o  # in place: the table index of the first shift
+        base, strides = _flat_base(first, shape)
         table = np.zeros(shape)
         flat = table.ravel()
-
-        def add(k, offset, start, base, vals):
-            np.add.at(flat[start:], base, vals)
-
-        _for_each_shift(basis, xs, origin, shape, add)
+        for offset in itertools.product(range(basis.width), repeat=d):
+            vals = factors[0][offset[0]]
+            for i in range(1, d):
+                vals = vals * factors[i][offset[i]]
+            np.add.at(flat[int(np.dot(offset, strides)):], base, vals)
         table *= factor
     return WaveletDensityEstimator(basis, j, n, d, origin, table)
 
@@ -182,52 +130,74 @@ def _floor_scaled(y, j: int) -> int:
     return (p << j) // q
 
 
+def _axis_plan(basis: ScalingFunction, y: np.ndarray) -> tuple:
+    """The shifts that can be nonzero at y, one axis of 2^j x (shape (m,)):
+    (first, factors), with first = floor(y) - (width - 1) (int64) and
+    factors[o] = phi(y - first - o) for o < width.  phi is zero outside
+    [0, width) and at width, so phi(y - s) != 0 needs y - width < s <= y:
+    the width integers from first.
+
+    Haar's phi is the indicator of [0, 1) and its one shift is floor(y), so
+    y - s lies in [0, 1); the float y - floor(y) rounds up to 1.0 for y in
+    [-2^-54, 0), and is moved back below 1.  Continuous bases keep the
+    rounded argument: their phi barely moves over one rounding."""
+    first = np.floor(y, out=np.empty(y.shape, np.int64), casting="unsafe")
+    first -= basis.width - 1
+    factors = []
+    for o in range(basis.width):
+        arg = first + float(o)  # the shift, an exact float
+        np.subtract(y, arg, out=arg)
+        if basis.interp == "left":
+            np.minimum(arg, _BELOW_ONE, out=arg)
+        factors.append(eval_phi(basis, arg))
+    return first, factors
+
+
 def _plan(basis: ScalingFunction, j: int, pts: np.ndarray) -> tuple:
     """The half of a table sum at finite points pts (m, d) that no table
-    enters: (basis, first, factors), with first[i] the first shift
-    floor(2^j x_i) - (width - 1) on axis i (int64, (m,)) and factors[i][o]
-    = phi(2^j x_i - first[i] - o), from the shift loop run on each axis
-    alone: d * width arrays of m values, not the width^d products.
+    enters: (basis, first, factors), with first[i] and factors[i] the
+    `_axis_plan` of axis i: d * width arrays of m values, not the width^d
+    products.
 
     2^j x is clipped to [-2^62, 2^62], which keeps the int64 floors exact;
     one past the largest float is clipped from inf.  fit's tables hold
     shifts in [-2^62 + 513 - width, 2^62 - 512], so a clipped point still
     meets none of them, and first - origin stays in int64."""
     with np.errstate(over="ignore"):
-        xs = np.clip(pts * (2.0 ** j), -_MAX_SHIFT, _MAX_SHIFT)
-    first, factors = [], []
-    for i in range(xs.shape[1]):
-        phis = []
-
-        def keep(k, offset, start, base, vals):
-            phis.append(vals)
-            if not offset[0]:
-                first.append(k[:, 0])
-
-        _for_each_shift(basis, xs[:, i:i + 1], np.zeros(1, np.int64), (1,), keep)
-        factors.append(phis)
+        xs = pts * (2.0 ** j)
+    np.clip(xs, -_MAX_SHIFT, _MAX_SHIFT, out=xs)
+    first, factors = zip(*(_axis_plan(basis, y) for y in xs.T))
     return basis, first, factors
+
+
+def _flat_base(ks, shape: tuple) -> tuple:
+    """(base, strides) for the table indices ks (one int64 array per axis)
+    in a C-ordered table of this shape: base + sum_i offset_i * strides[i]
+    is the flat index of ks + offset."""
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    base = ks[-1]
+    for k, stride in zip(ks[:-1], strides):
+        base = base + k * stride
+    return base, strides
 
 
 def _apply(plan: tuple, origin: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sum_k table[k - origin] prod_i phi(2^j x_i - k_i) at the points of a
-    `_plan`; the table is 0 outside its box.  As in fit's shift loop, each
-    product is formed in axis order and the offsets are summed in ascending
-    order, last axis fastest.  When every shift of the plan lies inside the
-    table box, the mask of shifts inside it is all ones and is skipped: a
-    product times 1.0 is the product."""
+    `_plan`; the table is 0 outside its box.  Each product is formed in axis
+    order and the offsets are summed in ascending order, last axis fastest,
+    as fit's scatter visits them.  When every shift of the plan lies inside
+    the table box, the mask of shifts inside it is all ones and is skipped:
+    a product times 1.0 is the product."""
     basis, first, factors = plan
     w, d, shape = basis.width, len(first), table.shape
     ks = [f - o for f, o in zip(first, origin)]  # table index of the first shift
-    covered = all(k.min() >= 0 and k.max() + w <= m for k, m in zip(ks, shape))
+    covered = all(k.size == 0 or (k.min() >= 0 and k.max() + w <= m)
+                  for k, m in zip(ks, shape))
     if not covered:
         # a first shift outside [-w, shape] leaves all w shifts outside, as
         # the clipped one does; the flat index stays small
         ks = [np.clip(k, -w, m) for k, m in zip(ks, shape)]
-    strides = [math.prod(shape[i + 1:]) for i in range(d)]
-    base = ks[-1]
-    for i in range(d - 1):
-        base = base + ks[i] * strides[i]
+    base, strides = _flat_base(ks, shape)
     flat = table.ravel()
     out = np.zeros(len(base))
     for offset in itertools.product(range(w), repeat=d):
@@ -383,6 +353,9 @@ class EvaluationGrid:
     points: np.ndarray = field(repr=False)
     # evaluate's `_plan` per (id(basis), level); a plan holds its basis
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # sup_deviation's (density, pdf at the points) per id(density); holding
+    # the density keeps its id from being reused
+    _pdfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.points)
@@ -393,6 +366,7 @@ def make_grid(box, j: int) -> EvaluationGrid:
 
     Per dimension: the points x with 2^j x integer, plus cell midpoints while
     the GRID_CAP points per dimension allow; subsampled evenly above the cap.
+    A grid of more than GRID_CAP^2 points, the largest 2-D grid, raises.
     """
     d = np.size(box[0])
     _check_level(j, d)
@@ -413,8 +387,13 @@ def make_grid(box, j: int) -> EvaluationGrid:
             ms, den = range(2 * m0, 2 * m1 + 1), 2 << j
         else:
             ms, den = range(m0, m1 + 1), 1 << j
-        axes.append(np.array([m / den for m in ms]))  # int / int rounds once
-    return EvaluationGrid(_grid_points(axes))
+        axes.append((ms, den))
+    size = math.prod(len(ms) for ms, _ in axes)
+    if size > GRID_CAP ** 2:
+        raise ConfigurationError(f"{size} grid points at level j={j}, more than "
+                                 f"GRID_CAP^2 = {GRID_CAP ** 2}")
+    return EvaluationGrid(_grid_points(  # int / int rounds once
+        [np.array([m / den for m in ms]) for ms, den in axes]))
 
 
 @dataclass(frozen=True)
@@ -443,7 +422,11 @@ def sup_deviation(est: WaveletDensityEstimator, density: Density,
     if expected is not None and np.shape(expected) != (len(grid),):
         raise ConfigurationError(f"expected has shape {np.shape(expected)}, not ({len(grid)},)")
     fhat = evaluate(est, grid)
-    f = np.asarray(density.pdf(grid.points), float)
+    memo = grid._pdfs.get(id(density))
+    if memo is None:
+        f = np.asarray(density.pdf(grid.points), float)
+        memo = grid._pdfs[id(density)] = (density, f)
+    f = memo[1]
     if np.any(f <= 0.0):
         raise ValueError("density must be strictly positive on the grid")
     d, j, n = est.dimension, est.level, est.n

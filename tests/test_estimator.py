@@ -124,6 +124,15 @@ def test_make_grid_cap():
         assert x[0] == 0.25 and x[-1] <= 0.75 and np.all(np.diff(x) > 0.0)
 
 
+def test_make_grid_caps_the_points_of_the_grid(monkeypatch):
+    # the cap was per axis, so a 3-D grid held up to GRID_CAP^3 points: 512
+    # here, and 2049^3 at j = 12 on [1/4, 3/4]^3 with the real cap
+    monkeypatch.setattr(estimator, "GRID_CAP", 8)
+    with pytest.raises(ConfigurationError, match="512 grid points at level j=3"):
+        make_grid(((0.0,) * 3, (0.875,) * 3), 3)
+    assert len(make_grid(((0.0,) * 2, (0.875,) * 2), 3)) == 64  # 8 x 8, the largest
+
+
 def test_make_grid_rejects_a_negative_level():
     # raised "ValueError: negative shift count"
     with pytest.raises(ConfigurationError, match="level"):
@@ -456,38 +465,50 @@ def test_fit_checks_the_bounds_before_scaling():
             fit(basis, 10, np.array(sample))
 
 
-def _per_offset_shift_loop(sf, xs, origin, shape, visit):
-    """The shift loop as it was before phi was shared across offsets: one
-    eval_phi per axis of every offset tuple (smooth bases only)."""
-    w, d = sf.width, xs.shape[1]
-    k = np.floor(xs, out=np.empty(xs.shape, np.int64), casting="unsafe")
-    k -= origin + (w - 1)
-    strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
-    base = k[:, -1]
-    for i in range(d - 1):
-        base = base + k[:, i] * strides[i]
-    for offset in itertools.product(range(w), repeat=d):
-        vals = None
-        for i, o in enumerate(offset):
-            arg = k[:, i] + float(origin[i] + o)
-            np.subtract(xs[:, i], arg, out=arg)
-            phi = eval_phi(sf, arg)
-            vals = phi if vals is None else vals * phi
-        visit(k, offset, int(np.dot(offset, strides)), base, vals)
+def _per_offset_shift_loop(sf, j, sample, points):
+    """fit's table at sample and evaluate's values at points as they were
+    before phi was shared across offsets: one eval_phi per axis of every
+    offset tuple, the product in axis order, the offsets ascending with the
+    last axis fastest, and np.add.at in sample order (smooth bases only)."""
+    w, d = sf.width, sample.shape[1]
+    scale = 2.0 ** j
+    origin = np.floor(sample.min(axis=0) * scale).astype(np.int64) - (w - 1)
+    shape = tuple(np.floor(sample.max(axis=0) * scale).astype(np.int64) - origin + 1)
+
+    def shifts(xs):
+        """(table index of each shift, phi product) per offset at xs (m, d)."""
+        first = np.floor(xs) - (w - 1)  # exact floats at these scales
+        for offset in itertools.product(range(w), repeat=d):
+            vals = None
+            for i, o in enumerate(offset):
+                phi = eval_phi(sf, xs[:, i] - (first[:, i] + o))
+                vals = phi if vals is None else vals * phi
+            yield (first + offset).astype(np.int64) - origin, vals
+
+    table = np.zeros(shape)
+    for idx, vals in shifts(sample * scale):
+        np.add.at(table, tuple(idx.T), vals)
+    norm = 2.0 ** (d * j / 2.0)
+    table *= norm / len(sample)
+    values = np.zeros(len(points))
+    for idx, vals in shifts(points * scale):
+        inside = np.all((idx >= 0) & (idx < shape), axis=1)
+        coeff = np.zeros(len(points))
+        coeff[inside] = table[tuple(idx[inside].T)]
+        values += coeff * vals
+    return table, values * norm
 
 
 @pytest.mark.parametrize("name", ["db4", "db6"])
 @pytest.mark.parametrize("d", [1, 2])
-def test_shared_phi_keeps_the_bits_of_the_per_offset_loop(monkeypatch, name, d):
+def test_shared_phi_keeps_the_bits_of_the_per_offset_loop(name, d):
     basis = SHIFT_BASES[name]
     sample = draw(make_density("cosine_bump", d), SeedSpec(7), 3000)
     points = SeedSpec(8).rng().random((200, d)) * 1.5 - 0.25
     est = fit(basis, 4, sample)
-    values = evaluate(est, points)
-    monkeypatch.setattr(estimator, "_for_each_shift", _per_offset_shift_loop)
-    old = fit(basis, 4, sample)
-    assert est.table.tobytes() == old.table.tobytes()
-    assert values.tobytes() == evaluate(old, points).tobytes()
+    table, values = _per_offset_shift_loop(basis, 4, sample, points)
+    assert est.table.tobytes() == table.tobytes()
+    assert evaluate(est, points).tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("name", ["haar", "db4", "db6"])
@@ -508,6 +529,31 @@ def test_shift_loop_calls_eval_phi_once_per_axis_and_offset(monkeypatch, name, d
     calls.clear()
     evaluate(est, sample[:40])
     assert calls == [40] * (d * basis.width)
+
+
+@pytest.mark.parametrize("y", [[0.3, 5.7, 2.0, -1.25], [2.0 ** 53 + 54, 2.0 ** 53 + 56]])
+def test_smooth_fit_scatters_the_factors_evaluate_gathers(y):
+    # Past |2^j x| = 2^53 a shift is not an exact float.  fit rounded it from
+    # its table origin and evaluate from 0, so at 2^53 + 54 and 2^53 + 56 the
+    # table held a factor phi(2) where evaluate formed phi(0)
+    basis, j = SHIFT_BASES["db4"], 60
+    sample = (np.array(y) / 2.0 ** j)[:, None]
+    est = fit(basis, j, sample)
+    _, (first,), (factors,) = estimator._plan(basis, j, sample)
+    table = np.zeros(est.table.shape)
+    for o, phi in enumerate(factors):
+        np.add.at(table, first - est.origin[0] + o, phi)
+    assert est.table.tobytes() == (table * (2.0 ** (j / 2.0) / len(y))).tobytes()
+
+
+@pytest.mark.parametrize("name", ["haar", "db4"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_evaluate_at_no_points(name, d):
+    # the table-coverage test raised "zero-size array to reduction operation
+    # minimum"; Density.pdf returns an empty array here too
+    est = fit(SHIFT_BASES[name], 3, SeedSpec(9).rng().random((100, d)))
+    values = evaluate(est, np.zeros((0, d)))
+    assert values.shape == (0,) and values.dtype == np.float64
 
 
 @pytest.mark.parametrize("name", ["haar", "db4", "db6"])

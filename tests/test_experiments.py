@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from wavedens import experiments
 from wavedens._threads import thread_count
 from wavedens.errors import ConfigurationError
+from wavedens.estimator import make_grid
 from wavedens.experiments import (ExperimentConfig, ResolutionSchedule,
                                   emit_report, realized_ratio, run_theorem1,
                                   run_theorem2, schedule_level)
+from wavedens.sampling import Density
 
 H = ((0.25,), (0.75,))
 
@@ -157,6 +159,28 @@ def test_run_theorem2_crs_contrast():
     assert rep["limit_delta"] is None
     assert rep["threshold"] == 0.25
     assert "fraction_below_at_largest_n_ge_090" in rep["predicates"]
+
+
+def test_run_theorem2_evaluates_the_density_on_a_grid_once_per_n(monkeypatch):
+    # sup_deviation called density.pdf(grid.points) in every replication
+    grids, args = [], []
+
+    def recording_grid(*a):
+        grids.append(make_grid(*a))
+        return grids[-1]
+
+    def recording_pdf(self, x):
+        args.append(x)
+        return pdf(self, x)
+
+    pdf = Density.pdf
+    monkeypatch.setattr(experiments, "make_grid", recording_grid)
+    monkeypatch.setattr(Density, "pdf", recording_pdf)
+    monkeypatch.setenv("WAVEDENS_THREADS", "1")
+    run_theorem2(_config(theorem=2, schedule=_er(1.0), n_grid=(1024, 2048, 4096),
+                         replications=30, base_seed=11))
+    assert len(grids) == 3
+    assert [sum(x is grid.points for x in args) for grid in grids] == [1, 1, 1]
 
 
 def test_each_driver_runs_only_its_own_theorem():
