@@ -24,6 +24,7 @@ GRID_CAP = 4096
 _QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
 _MAX_TABLE_CELLS = 1 << 28  # largest coefficient box fit allocates (2 GiB)
 _MAX_SHIFT = 2.0 ** 62  # |2^j x| bound that keeps the int64 shift arithmetic exact
+_MAX_SMOOTH_SHIFT = 2.0 ** 52  # below it every shift and y - shift is an exact float
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1
 _MAX_NODE = 2 ** 52  # i + 1/2 is an exact float for integers 0 <= i < 2^52
 
@@ -62,7 +63,9 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     """Empirical scaling coefficients alpha_hat_{j,k} = (1/n) sum_i phi_{j,k}(X_i).
 
     Raises ValueError for an empty or non-finite sample, and for one whose
-    k-box would exceed _MAX_TABLE_CELLS cells or reach |2^j x| >= 2^62."""
+    k-box would exceed _MAX_TABLE_CELLS cells or reach |2^j x| >= 2^62, or
+    2^52 for a smooth basis: past 2^53 its shifts are not all floats, and a
+    factor phi(2^j x - k) would be taken at a rounded argument."""
     sample = _as_sample(sample)
     n, d = sample.shape
     _check_level(j, d)
@@ -84,12 +87,14 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     if cells > _MAX_TABLE_CELLS:
         raise ValueError(f"sample spans {cells:.4g} coefficient cells at level "
                          f"j={j}, more than the {_MAX_TABLE_CELLS} fit allocates")
-    if max(max(-a, b) for a, b in bounds) >= _MAX_SHIFT:
-        raise ValueError(f"sample reaches |2^j x| >= 2^62 at level j={j}")
+    haar = basis.interp == "left"
+    if max(max(-a, b) for a, b in bounds) >= (_MAX_SHIFT if haar else _MAX_SMOOTH_SHIFT):
+        raise ValueError(f"sample reaches |2^j x| >= 2^{62 if haar else 52} "
+                         f"at level j={j}")
     origin = np.floor(lo * scale).astype(np.int64) - (basis.width - 1)
     shape = tuple(int(s) for s in np.floor(hi * scale).astype(np.int64) - origin + 1)
     factor = 2.0 ** (d * j / 2.0) / n
-    if basis.interp == "left":
+    if haar:
         # Haar: phi(2^j x - k) is 1 at the one shift k = floor(2^j x), so the
         # table counts points per cell.  np.bincount sums integers, exact in
         # any order, and gives the np.add.at table bit for bit.  Scaling by
@@ -162,7 +167,9 @@ def _plan(basis: ScalingFunction, j: int, pts: np.ndarray) -> tuple:
     2^j x is clipped to [-2^62, 2^62], which keeps the int64 floors exact;
     one past the largest float is clipped from inf.  fit's tables hold
     shifts in [-2^62 + 513 - width, 2^62 - 512], so a clipped point still
-    meets none of them, and first - origin stays in int64."""
+    meets none of them, and first - origin stays in int64.  A smooth
+    basis's tables hold shifts in (-2^52 - width, 2^52), so a point whose
+    factors are taken at rounded arguments, past 2^53, meets none of them."""
     with np.errstate(over="ignore"):
         xs = pts * (2.0 ** j)
     np.clip(xs, -_MAX_SHIFT, _MAX_SHIFT, out=xs)

@@ -177,11 +177,14 @@ def _gamma_endpoint(lk: LocalizedKernel, box: tuple, kmax: float,
     the probe at eta = 1e-12 (where the clip binds) once per kernel.
     """
     kv, vol = lk.cell_values(), lk.cell_volume
-    kb = kv[box]
+    kb = np.ascontiguousarray(kv[box])
     costs = lk._costs
     # one cost array per call: each evaluation overwrites its box, the zeros
-    # outside stay, and nothing the size of the grid outlives the call
+    # outside stay, and nothing the size of the grid outlives the call.  h
+    # is formed in a contiguous box-shaped buffer and copied into the
+    # strided box once, not walked there by each of _h_positive's ufuncs
     h = np.zeros(kv.shape)
+    hb = np.empty(kb.shape)
 
     def gdot_of(eta):
         z = kb / (sign * eta)  # the bits of sign * kb / eta, as sign = +-1
@@ -194,7 +197,7 @@ def _gamma_endpoint(lk: LocalizedKernel, box: tuple, kmax: float,
         c = costs.get((sign, eta))
         if c is None:
             # exp(z) with |z| <= 500 is positive, so h needs no mask or scan
-            _h_positive(gdot_of(eta), out=h[box])
+            h[box] = _h_positive(gdot_of(eta), out=hb)
             c = costs[sign, eta] = float(np.sum(h) * vol)
         return c
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -533,17 +534,36 @@ def test_shift_loop_calls_eval_phi_once_per_axis_and_offset(monkeypatch, name, d
 
 @pytest.mark.parametrize("y", [[0.3, 5.7, 2.0, -1.25], [2.0 ** 53 + 54, 2.0 ** 53 + 56]])
 def test_smooth_fit_scatters_the_factors_evaluate_gathers(y):
-    # Past |2^j x| = 2^53 a shift is not an exact float.  fit rounded it from
-    # its table origin and evaluate from 0, so at 2^53 + 54 and 2^53 + 56 the
-    # table held a factor phi(2) where evaluate formed phi(0)
+    # Past |2^j x| = 2^53 a shift is not an exact float, and the factors were
+    # taken at rounded arguments: at 2^53 + 54 the table read phi(2), phi(2),
+    # 0 where phi(2), phi(1), phi(0) is right.  A smooth fit there raises
     basis, j = SHIFT_BASES["db4"], 60
     sample = (np.array(y) / 2.0 ** j)[:, None]
+    if max(abs(v) for v in y) >= 2.0 ** 52:
+        with pytest.raises(ValueError, match=r"2\^52 at level j=60"):
+            fit(basis, j, sample)
+        return
     est = fit(basis, j, sample)
     _, (first,), (factors,) = estimator._plan(basis, j, sample)
     table = np.zeros(est.table.shape)
     for o, phi in enumerate(factors):
         np.add.at(table, first - est.origin[0] + o, phi)
     assert est.table.tobytes() == (table * (2.0 ** (j / 2.0) / len(y))).tobytes()
+
+
+def test_smooth_fit_below_2_to_the_52_takes_phi_at_the_integers():
+    # the far end of what a smooth fit accepts: y = 2^j x and its shifts are
+    # exact floats, so one point's table is phi at y - floor(y) + 2, 1, 0
+    basis, j = SHIFT_BASES["db4"], 60
+    for y in (2.0 ** 52 - 1, 1 - 2.0 ** 52, 2.0 ** 52 - 0.5):
+        est = fit(basis, j, np.array([[y / 2.0 ** j]]))
+        assert est.origin[0] == math.floor(y) - 2
+        phi = eval_phi(basis, y - math.floor(y) + np.array([2.0, 1.0, 0.0]))
+        assert est.table.ravel().tobytes() == (phi * 2.0 ** 30).tobytes()
+        assert evaluate(est, y / 2.0 ** j) == sum(p * p for p in phi) * 2.0 ** 60
+    with pytest.raises(ValueError, match=r"2\^52 at level j=60"):
+        fit(basis, j, np.array([[2.0 ** -8]]))
+    assert fit(SHIFT_BASES["haar"], j, np.array([[2.0 ** -8]])).table.size == 1
 
 
 @pytest.mark.parametrize("name", ["haar", "db4"])

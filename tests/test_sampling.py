@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavedens.errors import ConfigurationError
-from wavedens.sampling import _PPF_NODES, Density, SeedSpec, draw, make_density
+from wavedens.sampling import _PPF_NODES, Density, SeedSpec, _ndtr, draw, make_density
 
 DENSITIES = ("uniform01", "cosine_bump", "trunc_gauss_mix")
 
@@ -183,3 +183,43 @@ def test_cosine_ppf_at_and_between_its_table_nodes():
     assert np.max(np.abs(x - _bisection_ppf(marginal, u))) <= 4.5e-16
     assert np.max(np.abs(marginal.cdf(x) - u)) <= 2.3e-16
     assert np.all(np.diff(x) >= 0.0)
+
+
+def _normal_points():
+    return np.concatenate([np.linspace(-8.0, 8.0, 160001),
+                           SeedSpec(20261020).rng().normal(0.0, 3.0, 1 << 14)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ndtr_matches_scipy_ndtr():
+    # _ndtr ports the Cephes ndtr that scipy wraps; only exp differs
+    from scipy.special import ndtr
+    t = _normal_points()
+    assert np.max(np.abs(_ndtr(t) - ndtr(t)) / ndtr(t)) <= 1e-13
+    # the exp(-w^2) R(w) / S(w) tail from w = 8, to where Phi is subnormal
+    t = -np.linspace(8.0 * math.sqrt(2.0), 37.0, 20001)
+    assert np.max(np.abs(_ndtr(t) - ndtr(t)) / ndtr(t)) <= 1e-13
+    # and against the C library's erfc, an independent approximation
+    t = _normal_points()[::7]
+    ref = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in t])
+    assert np.max(np.abs(_ndtr(t) - ref) / ref) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ndtr_center_symmetry_and_limits():
+    assert _ndtr(0.0) == _ndtr(-0.0) == 0.5
+    t = _normal_points()
+    assert np.max(np.abs(_ndtr(t) + _ndtr(-t) - 1.0)) <= 2.0 ** -53
+    edges = np.array([np.inf, 40.0, 1e300, -np.inf, -40.0, -1e300])
+    assert _ndtr(edges).tolist() == [1.0] * 3 + [0.0] * 3
+    assert np.isnan(_ndtr(np.nan))
+    assert np.all(np.diff(_ndtr(np.linspace(-8.0, 8.0, 160001))) >= 0.0)
+
+
+def test_ndtr_keeps_the_shapes_of_scipy_ndtr():
+    from scipy.special import ndtr
+    for t in (0.3, np.float64(-1.2), np.array(2.5), [0.1, -0.4], np.zeros((2, 3)),
+              np.zeros(0)):
+        got, ref = _ndtr(t), ndtr(t)
+        assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+        assert got.dtype == np.float64

@@ -1,5 +1,5 @@
-"""What a fresh interpreter loads: wavedens and its theorem runs need numpy
-alone; scipy is loaded only by the density that needs it."""
+"""What a fresh interpreter loads: wavedens, its theorem runs and every
+density need numpy alone."""
 
 import json
 import os
@@ -36,7 +36,11 @@ for name, cfg in (("haar", haar_er), ("db4", db4_2d)):
                        "--output", str(tmp / f"{name}_out")]))
 out["codes"] = codes
 out["runs"] = scipy_modules()
-wavedens.make_density("trunc_gauss_mix", 1)
+for d in (1, 2):
+    den = wavedens.make_density("trunc_gauss_mix", d)
+    den.cdf1([0.0, 0.3, 1.0])
+    den.box_prob([0.2] * d, [0.6] * d)
+    den.pdf([0.5] * d)
 out["trunc_gauss_mix"] = scipy_modules()
 print(json.dumps(out))
 """
@@ -52,5 +56,5 @@ def test_import_and_theorem_runs_load_no_scipy(tmp_path):
     assert out["codes"] and all(c in (0, 1) for c in out["codes"])
     assert out["import"] == []
     assert out["runs"] == []
-    # the one boundary left: trunc_gauss_mix needs scipy.special's ndtr
-    assert "scipy.special" in out["trunc_gauss_mix"]
+    # its normal CDF is sampling._ndtr, in numpy
+    assert out["trunc_gauss_mix"] == []
