@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import build_family
 from .errors import ConfigurationError, NumericalError
-from .estimator import _expected_at, evaluate, fit, make_grid
+from .estimator import evaluate, expected_estimator, fit, make_grid
 from .experiments import (ExperimentConfig, emit_report, run_theorem1,
                           run_theorem2)
 from .increments import g_n_x, g_tilde_n_x
@@ -75,7 +75,7 @@ def _cmd_estimate(args) -> int:
     grid = make_grid(box, args.level)
     fhat = evaluate(est, grid.points)
     f = density.pdf(grid.points)
-    efhat = _expected_at(density, basis, args.level, grid.points)
+    efhat = expected_estimator(density, basis, args.level, grid.points)
     _write_table(args.emit, "x", grid.points, ["fhat", "efhat", "f"], fhat, efhat, f)
     return 0
 

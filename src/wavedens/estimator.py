@@ -68,7 +68,7 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     factor phi(2^j x - k) would be taken at a rounded argument."""
     sample = _as_sample(sample)
     n, d = sample.shape
-    _check_level(j, d)
+    j = _check_level(j, d)
     if n == 0:
         raise ValueError("empty sample")
     # Per column: numpy reduces an (n, d) array along axis 0 about ten times
@@ -101,13 +101,8 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
         # 2^j is exact, so origin and shape bound these floors.
         k = np.floor(sample * scale, out=np.empty(sample.shape, np.int64),
                      casting="unsafe")
-        index = k[:, 0]  # in place: the C-order flat index of k - origin
-        index -= origin[0]
-        for i in range(1, d):
-            index *= shape[i]
-            index += k[:, i]
-            index -= origin[i]
-        counts = np.bincount(index, minlength=math.prod(shape))
+        k -= origin  # in place; at d = 1 the flat index is a view of k
+        counts = np.bincount(_flat_base(k.T, shape)[0], minlength=math.prod(shape))
         table = (counts * factor).reshape(shape)
     else:
         # Smooth bases: the transpose of _apply, on the same plan, with the
@@ -291,9 +286,10 @@ def _mass_vectors(density: Density, basis: ScalingFunction, j: int,
     return out
 
 
-def _expected_at(density: Density, basis: ScalingFunction, j: int,
-                 pts: np.ndarray) -> np.ndarray:
-    """E fhat at points (`_as_points`) as an array of shape (m,).
+def expected_estimator(density: Density, basis: ScalingFunction, j: int,
+                       x) -> np.ndarray:
+    """E fhat at points (`_as_points`): a float at one point and an array of
+    shape (m,) at m points.
 
     E fhat(x) = sum_k alpha_{j,k} phi_{j,k}(x) with the population
     coefficients alpha_{j,k} = integral phi_{j,k} f.  Both the tensor basis
@@ -304,8 +300,8 @@ def _expected_at(density: Density, basis: ScalingFunction, j: int,
     guards the quadrature.
     """
     d = density.dimension
-    _check_level(j, d)
-    pts = _as_points(pts, d)[0]
+    j = _check_level(j, d)
+    pts, single = _as_points(x, d)
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     w = basis.width
@@ -317,7 +313,7 @@ def _expected_at(density: Density, basis: ScalingFunction, j: int,
     k0 = max(1 - w, min(_floor_scaled(coords.min(), j) - (w - 1), 1 << j))
     k1 = max(-w, min(_floor_scaled(coords.max(), j), (1 << j) - 1))
     if k1 < k0:
-        return np.zeros(len(pts))
+        return 0.0 if single else np.zeros(len(pts))
     # never coarser than the 2^-(j + table_depth) knots of phi's table
     step = None if basis.interp == "left" else 2.0 ** -max(j + basis.table_depth, 15)
     # _mass_vectors puts the cell edges and quadrature nodes at i * 2^-j and
@@ -340,17 +336,12 @@ def _expected_at(density: Density, basis: ScalingFunction, j: int,
         return total
 
     if step is None:
-        return at(None)
-    coarse, fine = at(step), at(step / 2.0)
-    if np.any(np.abs(fine - coarse) > 1e-7):
-        raise NumericalError("expected_estimator quadrature did not converge")
-    return fine
-
-
-def expected_estimator(density: Density, basis: ScalingFunction, j: int, x) -> float:
-    """E fhat(x) = integral of K_j(x, .) f at one point x of shape (d,) (or a
-    scalar when d = 1); `_expected_at` evaluates many points at once."""
-    return float(_expected_at(density, basis, j, _as_point(x, density.dimension))[0])
+        out = at(None)
+    else:
+        coarse, out = at(step), at(step / 2.0)
+        if np.any(np.abs(out - coarse) > 1e-7):
+            raise NumericalError("expected_estimator quadrature did not converge")
+    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -376,7 +367,7 @@ def make_grid(box, j: int) -> EvaluationGrid:
     A grid of more than GRID_CAP^2 points, the largest 2-D grid, raises.
     """
     d = np.size(box[0])
-    _check_level(j, d)
+    j = _check_level(j, d)
     lo, hi = (_as_point(v, d) for v in box)
     if not np.all(np.isfinite([lo, hi])):
         raise ConfigurationError("H must have finite corners")
@@ -438,10 +429,9 @@ def sup_deviation(est: WaveletDensityEstimator, density: Density,
         raise ValueError("density must be strictly positive on the grid")
     d, j, n = est.dimension, est.level, est.n
     if mode == "theorem1":
-        if j == 0:
-            raise ValueError("theorem1 normalization undefined at j = 0 (log 1 = 0)")
+        j = _check_level(j, d, lowest=1)
         if expected is None:
-            expected = _expected_at(density, est.basis, j, grid.points)
+            expected = expected_estimator(density, est.basis, j, grid.points)
         norm = np.sqrt(n * 2.0 ** (-d * j) / (2.0 * f * (d * j) * np.log(2.0)))
         dev = norm * (fhat - np.asarray(expected, float))
     elif mode == "ratio":

@@ -19,16 +19,12 @@ import numpy as np
 from ._threads import thread_count
 from .basis import build_family
 from .errors import ConfigurationError
-from .estimator import _expected_at, fit, make_grid, sup_deviation
+from .estimator import expected_estimator, fit, make_grid, sup_deviation
 from .kernel import ProjectionKernel, localize
 from .limitsets import theorem2_threshold
-from .sampling import SeedSpec, _as_point, draw, make_density
+from .sampling import SeedSpec, _as_point, _check_dimension, _is_int, draw, make_density
 
 DEFAULT_RATIO_THRESHOLD_FRACTION = 0.25
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -38,6 +34,7 @@ class ResolutionSchedule:
     dimension: int = 1
 
     def __post_init__(self):
+        _check_dimension(self.dimension)
         if self.regime == "CRS":
             g = self.params.get("gamma")
             if not isinstance(g, numbers.Real) or not 0.0 < g < 1.0:
@@ -88,8 +85,7 @@ class ExperimentConfig:
         scaling function it names."""
         if not _is_int(self.theorem) or self.theorem not in (1, 2):
             raise ConfigurationError("theorem must be 1 or 2")
-        if not _is_int(self.dimension) or self.dimension < 1:
-            raise ConfigurationError("dimension must be an integer >= 1")
+        _check_dimension(self.dimension)
         if not self.n_grid:
             raise ConfigurationError("n_grid must be nonempty")
         if not all(_is_int(n) for n in self.n_grid):
@@ -100,8 +96,7 @@ class ExperimentConfig:
             raise ConfigurationError("n_grid entries must be >= 4")
         if not _is_int(self.replications) or self.replications < 1:
             raise ConfigurationError("replications must be an integer >= 1")
-        if not _is_int(self.base_seed) or not 0 <= self.base_seed < 2 ** 64:
-            raise ConfigurationError("base_seed must be an integer in [0, 2^64)")
+        SeedSpec(self.base_seed)
         lo, hi = (_as_point(v, self.dimension) for v in self.h)
         if not np.all((0.0 <= lo) & (lo < hi) & (hi <= 1.0)):  # NaN fails too
             raise ConfigurationError("H must be a nondegenerate box inside [0, 1]^d")
@@ -182,7 +177,7 @@ def _run_pairs(config: ExperimentConfig, density, basis, mode: str) -> dict:
             grid = make_grid(config.h, j)
             expected = None
             if mode == "theorem1":
-                expected = _expected_at(density, basis, j, grid.points)
+                expected = expected_estimator(density, basis, j, grid.points)
             info = {"level": j, "ratio": realized_ratio(config.schedule, n),
                     "grid_size": len(grid)}
 

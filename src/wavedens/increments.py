@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import ScalingFunction
 from .errors import ConfigurationError
-from .estimator import evaluate_kernel_form, expected_estimator
+from .estimator import _flat_base, evaluate_kernel_form, expected_estimator
 from .kernel import (LocalizedKernel, ProjectionKernel, _box_diff, _box_sum,
                      _corner_axes, kernel_K_batch)
 from .sampling import Density, _as_point, _as_sample, _check_level
@@ -43,13 +43,13 @@ class IncrementFunction:
 
 
 def _corner_counts(sample, density: Density, x, j: int, halfwidth: float,
-                   grid_step: float):
+                   grid_step: float, lowest: int):
     """Set-up shared by g_{n,x} and gtilde_{n,x}: (n, x, f(x), h, axes, counts),
     counts holding the number of rescaled points 2^j (X_i - x) in [s, top]
-    for every corner s of the lattice."""
+    for every corner s of the lattice; j must be at least `lowest`."""
     sample = _as_sample(sample)
     n, d = sample.shape
-    _check_level(j, d)
+    j = _check_level(j, d, lowest)
     x = _as_point(x, d)
     fx = density.pdf(x)
     if fx <= 0.0:
@@ -72,7 +72,7 @@ def _cell_counts(u: np.ndarray, axes: tuple, step: float) -> np.ndarray:
     """
     m = len(axes[0]) - 1
     keep = np.ones(len(u), bool)
-    flat = np.zeros(len(u), np.intp)
+    ks = []
     for i, ax in enumerate(axes):
         ui = u[:, i]
         keep &= (ui >= ax[0]) & (ui <= ax[-1])
@@ -80,23 +80,16 @@ def _cell_counts(u: np.ndarray, axes: tuple, step: float) -> np.ndarray:
         k = np.clip(np.floor((ui - ax[0]) / step), 0, m - 1).astype(np.intp)
         k -= ui < ax[k]
         k += (ui >= ax[k + 1]) & (k < m - 1)
-        flat *= m
-        flat += k
+        ks.append(k)
+    flat = _flat_base(ks, (m,) * len(axes))[0]
     counts = np.bincount(flat[keep], minlength=m ** len(axes))
     return counts.reshape((m,) * len(axes)).astype(float)
-
-
-def _check_positive_level(j: int) -> None:
-    """The LIL normalization sqrt(2 f h log(1/h)) needs h = 2^(-dj) < 1."""
-    if j < 1:
-        raise ConfigurationError("level j must be >= 1 (log(1/h) = 0 at j = 0)")
 
 
 def g_n_x(sample, density: Density, x, j: int,
           halfwidth: float = 1.0, grid_step: float = DEFAULT_GRID_STEP) -> IncrementFunction:
     """LIL-normalized increment function over boxes [s, top]."""
-    _check_positive_level(j)
-    n, x, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step)
+    n, x, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step, 1)
     scale = 2.0 ** -j
     top = x + halfwidth * scale
     probs = density.box_prob_grid([x[i] + np.asarray(ax) * scale
@@ -111,7 +104,7 @@ def g_tilde_n_x(sample, density: Density, x, j: int, c: float,
     """Erdos-Renyi scaled counting functional (nonnegative, box-monotone)."""
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    n, _, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step)
+    n, _, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step, 0)
     values = counts / (c * fx * n * h)
     return IncrementFunction(axes, values)
 
@@ -159,8 +152,7 @@ def relation_check(sample, density: Density, x, j: int, basis: ScalingFunction) 
     """
     sample = _as_sample(sample)
     n, d = sample.shape
-    _check_level(j, d)
-    _check_positive_level(j)
+    j = _check_level(j, d, lowest=1)
     x = _as_point(x, d)
     fx = density.pdf(x)
     h = 2.0 ** (-d * j)

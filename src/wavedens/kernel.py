@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError
-from .sampling import _as_point, _check_level, _grid_points
+from .sampling import _as_point, _check_dimension, _check_level, _grid_points
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class ProjectionKernel:
     dimension: int = 1
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigurationError("dimension must be >= 1")
+        _check_dimension(self.dimension)
 
 
 def _kernel1(sf: ScalingFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -61,7 +60,7 @@ def kernel_K_batch(pk: ProjectionKernel, x, y) -> np.ndarray:
 
 def kernel_Kj_batch(pk: ProjectionKernel, j: int, x, y) -> np.ndarray:
     """K_j(x, y) = 2^(dj) K(2^j x, 2^j y) over batches of points (..., d)."""
-    _check_level(j, pk.dimension)
+    j = _check_level(j, pk.dimension)
     scale = 2.0 ** j
     return 2.0 ** (pk.dimension * j) * kernel_K_batch(
         pk, scale * np.asarray(x, float), scale * np.asarray(y, float))
@@ -138,7 +137,7 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
     (cell alignment keeps Haar discontinuities on grid lines).
     """
     d = pk.dimension
-    _check_level(j, d)
+    j = _check_level(j, d)
     x = _as_point(x, d)
     if not np.all(np.isfinite(x)):
         raise ConfigurationError(f"center must be finite, got {x.tolist()}")

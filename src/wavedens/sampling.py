@@ -9,6 +9,7 @@ replication is reproducible in isolation.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -43,13 +44,27 @@ def _as_point(x, d: int) -> np.ndarray:
     return _as_points(x, d, one=True)[0][0]
 
 
-def _check_level(j: int, d: int) -> None:
-    """A multiresolution level in d dimensions: j >= 0 with 2^(d j) a finite
-    float, so that the bandwidth 2^(-d j) is positive."""
-    if j < 0:
-        raise ConfigurationError("level j must be >= 0")
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_level(j: int, d: int, lowest: int = 0) -> int:
+    """A multiresolution level in d dimensions: an integer j >= lowest with
+    2^(d j) a finite float, so that the bandwidth 2^(-d j) is positive.  The
+    LIL normalization sqrt(2 f h log(1/h)) needs h < 1: lowest = 1.  Returns
+    j as a Python int: a numpy integer would overflow the shifts 1 << j."""
+    if not _is_int(j):
+        raise ConfigurationError(f"level j must be an integer, got {j!r}")
+    if j < lowest:
+        raise ConfigurationError(f"level j must be >= {lowest}")
     if d * j >= sys.float_info.max_exp:
         raise ConfigurationError(f"level j must keep 2^(d j) finite, got j = {j} at d = {d}")
+    return int(j)
+
+
+def _check_dimension(d: int) -> None:
+    if not (_is_int(d) and d >= 1):
+        raise ConfigurationError(f"dimension must be an integer >= 1, got {d!r}")
 
 
 def _grid_points(axes) -> np.ndarray:
@@ -65,6 +80,11 @@ class SeedSpec:
 
     base_seed: int
     replication_index: int = 0
+
+    def __post_init__(self):
+        for name, v in vars(self).items():  # base_seed, replication_index
+            if not (_is_int(v) and 0 <= v < 1 << 64):
+                raise ConfigurationError(f"{name} must be an integer in [0, 2^64), got {v!r}")
 
     def rng(self) -> np.random.Generator:
         key = np.array([self.base_seed, self.replication_index], dtype=np.uint64)
@@ -332,8 +352,9 @@ class Density:
         hi = _as_point(hi, self.dimension)
         total = 0.0
         for w, m in self.components:
-            factors = [np.maximum(float(m.cdf(hi[i])) - m.cdf(np.asarray(ax, float)), 0.0)
-                       for i, ax in enumerate(lo_axes)]
+            # one cdf call per axis, with hi[i] last; each value keeps its bits
+            cdfs = (m.cdf(np.append(ax, hi[i])) for i, ax in enumerate(lo_axes))
+            factors = [np.maximum(c[-1] - c[:-1], 0.0) for c in cdfs]
             part = factors[0]
             for f in factors[1:]:
                 part = np.multiply.outer(part, f)
@@ -369,8 +390,7 @@ class Density:
 
 def make_density(name: str, d: int) -> Density:
     """Build one of the shipped densities on [0, 1]^d."""
-    if d < 1:
-        raise ConfigurationError("dimension must be >= 1")
+    _check_dimension(d)
     if name == "uniform01":
         comps = ((1.0, _Uniform()),)
     elif name == "cosine_bump":

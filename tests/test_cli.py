@@ -116,6 +116,20 @@ def test_a_level_out_of_range_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--family", "haar", "--level", "3", "--density", "uniform01",
+     "--n", "50", "--seed", "-1"],
+    ["increments", "--kind", "gnx", "--level", "3", *_SAMPLE,
+     "--seed", str(2 ** 64)],
+])
+def test_a_seed_out_of_range_exits_2(tmp_path, capsys, argv):
+    # both raised OverflowError: exit 1 with a traceback
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--emit", str(out)]) == 2
+    assert "error: base_seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "-1"])
 @pytest.mark.parametrize("command", ["theorem1", "limitsets"])
 def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch, threads, command):

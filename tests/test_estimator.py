@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wavedens import estimator
 from wavedens.basis import build_family, eval_phi
 from wavedens.errors import ConfigurationError, NumericalError
-from wavedens.estimator import (GRID_CAP, SupStatistic, _expected_at, evaluate,
+from wavedens.estimator import (GRID_CAP, SupStatistic, evaluate,
                                 evaluate_kernel_form, expected_estimator, fit,
                                 make_grid, sup_deviation)
 from wavedens.kernel import ProjectionKernel, kernel_Kj_batch
@@ -237,13 +237,16 @@ def test_expected_estimator_rejects_other_point_shapes():
     # a d = 1 density at two coordinates used to return E fhat(.3) E fhat(.5)
     den = make_density("uniform01", 1)
     basis = build_family("haar")
-    for x in (np.array([0.3, 0.5]), np.array([[0.3], [0.5]]), np.array([[0.3]])):
-        with pytest.raises(ValueError, match="shape"):
-            expected_estimator(den, basis, 4, x)
+    with pytest.raises(ValueError, match="shape"):
+        expected_estimator(den, basis, 4, np.array([0.3, 0.5]))
     with pytest.raises(ValueError, match="shape"):
         expected_estimator(make_density("uniform01", 2), basis, 4, 0.3)
-    assert expected_estimator(den, basis, 4, np.array([0.3])) == \
-        expected_estimator(den, basis, 4, 0.3)
+    one = expected_estimator(den, basis, 4, 0.3)
+    assert expected_estimator(den, basis, 4, np.array([0.3])) == one
+    # an (m, 1) array is m points
+    both = expected_estimator(den, basis, 4, np.array([[0.3], [0.5]]))
+    assert np.array_equal(both, [one, expected_estimator(den, basis, 4, 0.5)])
+    assert np.array_equal(expected_estimator(den, basis, 4, np.array([[0.3]])), [one])
 
 
 def test_evaluate_far_points_are_zero_without_warnings():
@@ -257,7 +260,7 @@ def test_evaluate_far_points_are_zero_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             out = evaluate(est, pts)
-            efhat = _expected_at(make_density("uniform01", d), basis, 3, pts)
+            efhat = expected_estimator(make_density("uniform01", d), basis, 3, pts)
         assert np.all(out[:-1] == 0.0) and out[-1] == evaluate(est, pts[-1]) != 0.0
         assert np.all(efhat[:-1] == 0.0) and efhat[-1] > 0.5
 
@@ -277,7 +280,7 @@ def test_expected_batch_equals_per_point(fam, d):
     for name in DENSITIES:
         den = make_density(name, d)
         for j in (1, 3):
-            batch = _expected_at(den, basis, j, pts)
+            batch = expected_estimator(den, basis, j, pts)
             assert np.array_equal(
                 batch, [expected_estimator(den, basis, j, p) for p in pts])
 
@@ -310,7 +313,7 @@ def test_expected_estimator_smooth_converges_over_unit_interval(fam):
     for name in ("uniform01", "cosine_bump"):
         den = make_density(name, 1)
         for j in (5, 8, 10):
-            efhat = _expected_at(den, basis, j, xs)
+            efhat = expected_estimator(den, basis, j, xs)
             if name == "uniform01":
                 # shifts met at x lie inside [0, 1]: E fhat is the partition of unity
                 w = basis.width * 2.0 ** -j

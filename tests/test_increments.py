@@ -5,9 +5,10 @@ import pytest
 
 from wavedens.basis import build_family
 from wavedens.errors import ConfigurationError
-from wavedens.estimator import (_expected_at, evaluate, evaluate_kernel_form,
+from wavedens.estimator import (evaluate, evaluate_kernel_form,
                                 expected_estimator, fit, make_grid,
                                 sup_deviation)
+from wavedens.experiments import ExperimentConfig, ResolutionSchedule
 from wavedens.increments import (cell_density, from_cell_density, g_n_x,
                                  g_tilde_n_x, relation_check, theta)
 from wavedens.kernel import (ProjectionKernel, kernel_K_batch, kernel_Kj_batch,
@@ -169,7 +170,6 @@ def _grid_sum(box):
 # two such points; make_grid takes d from its first corner.
 POINT_CALLS = {
     "evaluate_kernel_form": _kernel_form_at,
-    "expected_estimator": lambda den, sample, p: expected_estimator(den, HAAR, 2, p),
     "box_prob_lo": lambda den, sample, p: den.box_prob(
         p, np.full(den.dimension, 0.6)),
     "box_prob_hi": lambda den, sample, p: den.box_prob(
@@ -191,14 +191,26 @@ POINT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", sorted(POINT_CALLS))
+# The point-array arguments: one point as above, or an (m, d) array of m.
+ARRAY_CALLS = {
+    "evaluate": lambda den, sample, p: evaluate(fit(HAAR, 2, sample), p),
+    "pdf": lambda den, sample, p: den.pdf(p),
+    "expected_estimator": lambda den, sample, p: expected_estimator(den, HAAR, 2, p),
+}
+
+
+@pytest.mark.parametrize("call", sorted({**POINT_CALLS, **ARRAY_CALLS}))
 def test_a_point_needs_exactly_d_coordinates(call):
     # at d = 2, [0.3] used to be broadcast to (0.3, 0.3); make_grid raised
-    # IndexError on a short upper corner
-    f = POINT_CALLS[call]
+    # IndexError on a short upper corner.  A (1, d) array raises only where
+    # a single point is taken; the point-array calls read it as one point.
+    f = {**POINT_CALLS, **ARRAY_CALLS}[call]
     den2 = make_density("uniform01", 2)
     sample2 = draw(den2, SeedSpec(9), 200)
-    for p in ([0.3], 0.3, [0.3, 0.3, 0.3], [[0.3, 0.3]]):
+    shapes = [[0.3], 0.3, [0.3, 0.3, 0.3]]
+    if call in POINT_CALLS:
+        shapes.append([[0.3, 0.3]])
+    for p in shapes:
         with pytest.raises(ConfigurationError, match="shape"):
             f(den2, sample2, p)
     assert math.isfinite(f(den2, sample2, [0.3, 0.3]))
@@ -208,17 +220,9 @@ def test_a_point_needs_exactly_d_coordinates(call):
     assert f(den1, sample1, 0.3) == f(den1, sample1, [0.3])
 
 
-# The point-array arguments: one point as above, or an (m, d) array of m.
-ARRAY_CALLS = {
-    "evaluate": lambda den, sample, p: evaluate(fit(HAAR, 2, sample), p),
-    "pdf": lambda den, sample, p: den.pdf(p),
-    "_expected_at": lambda den, sample, p: _expected_at(den, HAAR, 2, p),
-}
-
-
 @pytest.mark.parametrize("call", sorted(ARRAY_CALLS))
 def test_points_are_one_point_or_an_m_by_d_array(call):
-    # _expected_at read (2, 1) points at d = 2 as one point (0.3, 0.6)
+    # the batch E fhat read (2, 1) points at d = 2 as one point (0.3, 0.6)
     f = ARRAY_CALLS[call]
     den2 = make_density("uniform01", 2)
     sample2 = draw(den2, SeedSpec(9), 200)
@@ -286,3 +290,63 @@ def test_gtilde_rejects_c_that_is_not_positive_and_finite(c):
     sample = draw(den, SeedSpec(3), 100)
     with pytest.raises(ValueError, match="c must be positive"):
         g_tilde_n_x(sample, den, 0.5, 3, c, grid_step=2.0 ** -4)
+
+
+UNIFORM1 = make_density("uniform01", 1)
+SAMPLE1 = draw(UNIFORM1, SeedSpec(9), 200)
+
+# Every public function that takes a level j, called at level j.
+LEVEL_CALLS = {
+    "fit": lambda j: fit(HAAR, j, SAMPLE1),
+    "expected_estimator": lambda j: expected_estimator(UNIFORM1, HAAR, j, 0.3),
+    "evaluate_kernel_form": lambda j: evaluate_kernel_form(HAAR, j, SAMPLE1, 0.3),
+    "make_grid": lambda j: make_grid(((0.25,), (0.75,)), j),
+    "kernel_Kj_batch": lambda j: kernel_Kj_batch(_pk(1), j, [0.3], [0.4]),
+    "localize": lambda j: localize(_pk(1), j, [0.3], 0.25),
+    "g_n_x": lambda j: g_n_x(SAMPLE1, UNIFORM1, 0.5, j, grid_step=0.25),
+    "g_tilde_n_x": lambda j: g_tilde_n_x(SAMPLE1, UNIFORM1, 0.5, j, 1.0, grid_step=0.25),
+    "relation_check": lambda j: relation_check(SAMPLE1, UNIFORM1, 0.5, j, HAAR),
+}
+
+
+@pytest.mark.parametrize("j", [2.5, True])
+@pytest.mark.parametrize("call", sorted(LEVEL_CALLS))
+def test_a_level_must_be_an_integer(call, j):
+    # fit(haar, 2.5, s) built a table at scale 2^2.5 and kernel_Kj_batch
+    # returned 2^1.5; make_grid raised TypeError; fit stored level True
+    with pytest.raises(ConfigurationError, match="level j must be an integer"):
+        LEVEL_CALLS[call](j)
+    LEVEL_CALLS[call](np.int64(2))
+
+
+def test_a_numpy_integer_level_is_the_python_int():
+    # 1 << np.int64(70) overflowed: E fhat read 0.0 where level 70 raises,
+    # and make_grid returned one NaN point
+    with pytest.raises(ConfigurationError, match="finer than the float lattice"):
+        expected_estimator(UNIFORM1, HAAR, np.int64(70), 0.5)
+    box = ((0.25,), (0.75,))
+    assert np.array_equal(make_grid(box, np.int64(70)).points, make_grid(box, 70).points)
+    assert type(fit(HAAR, np.int64(3), SAMPLE1).level) is int
+
+
+def _config(d):
+    return ExperimentConfig(1, "uniform01", d, "haar", ((0.25,), (0.75,)),
+                            ResolutionSchedule("CRS", {"gamma": 0.5}), (64,), 1, 0)
+
+
+# Every public function that takes a dimension d.
+DIMENSION_CALLS = {
+    "make_density": lambda d: make_density("uniform01", d),
+    "ProjectionKernel": lambda d: ProjectionKernel(HAAR, d),
+    "ResolutionSchedule": lambda d: ResolutionSchedule("CRS", {"gamma": 0.5}, d),
+    "ExperimentConfig.validate": lambda d: _config(d).validate(),
+}
+
+
+@pytest.mark.parametrize("d", [2.5, True, 0])
+@pytest.mark.parametrize("call", sorted(DIMENSION_CALLS))
+def test_a_dimension_must_be_an_integer_at_least_1(call, d):
+    # make_density("uniform01", 2.5) and ProjectionKernel(haar, 1.5) were accepted
+    with pytest.raises(ConfigurationError, match="dimension must be an integer >= 1"):
+        DIMENSION_CALLS[call](d)
+    DIMENSION_CALLS[call](np.int64(1))

@@ -73,6 +73,44 @@ def test_box_prob_grid_matches_scalar():
             assert abs(grid[i, k] - scalar) < 1e-14
 
 
+def _box_prob_grid_one_cdf_per_value(den, lo_axes, hi):
+    """box_prob_grid as it was: cdf on hi[i] alone, then on the axis."""
+    total = 0.0
+    for w, m in den.components:
+        factors = [np.maximum(float(m.cdf(hi[i])) - m.cdf(np.asarray(ax, float)), 0.0)
+                   for i, ax in enumerate(lo_axes)]
+        part = factors[0]
+        for f in factors[1:]:
+            part = np.multiply.outer(part, f)
+        total = total + w * part
+    return total
+
+
+@pytest.mark.parametrize("name", DENSITIES)
+def test_box_prob_grid_keeps_the_bits_of_a_cdf_call_per_value(name):
+    # hi[i] now rides in the axis's cdf call; _ndtr's masks and numpy's SIMD
+    # loops see other array lengths, and the values must not move
+    rng = np.random.default_rng(7)
+    for d in (1, 2):
+        den = make_density(name, d)
+        for size in (1, 2, 3, 7, 8, 9, 16, 33, 129):
+            for _ in range(5):
+                axes = [rng.uniform(-0.2, 1.2, size) for _ in range(d)]
+                hi = rng.uniform(-0.1, 1.1, d)
+                got = den.box_prob_grid(axes, hi)
+                assert got.tobytes() == _box_prob_grid_one_cdf_per_value(den, axes, hi).tobytes()
+
+
+@pytest.mark.parametrize("args", [(1.5,), (-1,), (2 ** 64,), (True,), (0, -1),
+                                  (0, 2 ** 64), (0, 1.0), ("3",)])
+def test_seed_spec_takes_integers_in_0_to_2_64(args):
+    # SeedSpec(1.5) drew seed 1's stream; -1 and 2^64 raised OverflowError
+    with pytest.raises(ConfigurationError, match=r"must be an integer in \[0, 2\^64\)"):
+        SeedSpec(*args)
+    top = 2 ** 64 - 1
+    assert SeedSpec(top, top).rng().random() == SeedSpec(np.uint64(top), top).rng().random()
+
+
 def test_empirical_frequencies_match_pdf():
     den = make_density("trunc_gauss_mix", 1)
     pts = draw(den, SeedSpec(9), 200_000)[:, 0]
