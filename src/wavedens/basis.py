@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 
 _TABLE_DEPTH = 12
+FAMILIES = ("haar", "db4", "db6")  # at index i >= 1, Daubechies order i + 1
 
 # Daubechies extremal-phase filters, sum(c) = 2 convention.
 _SQRT3 = math.sqrt(3.0)
@@ -32,12 +33,12 @@ _DB_FILTERS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingFunction:
     """A compactly supported scaling function on the real line.
 
     Attributes:
-        name: family identifier ("haar", "db4", "db6").
+        name: family identifier, one of FAMILIES.
         filter: refinement coefficients c_k with sum(c) = 2.
         support: closed support interval (a, b), integers.
         table_depth: dyadic resolution r of the value table.
@@ -107,19 +108,15 @@ def build_daubechies(order: int) -> ScalingFunction:
             if j0 <= j1:
                 new[j0:j1 + 1] += ck * tbl[j0 - off:j1 - off + 1]
         tbl = new
-    name = {2: "db4", 3: "db6"}[order]
-    return ScalingFunction(name, tuple(c), (0, width), _TABLE_DEPTH, tbl)
+    return ScalingFunction(FAMILIES[order - 1], tuple(c), (0, width), _TABLE_DEPTH, tbl)
 
 
 def build_family(family: str) -> ScalingFunction:
-    """Construct a scaling function by family name."""
-    if family == "haar":
-        return build_haar()
-    if family == "db4":
-        return build_daubechies(2)
-    if family == "db6":
-        return build_daubechies(3)
-    raise ConfigurationError(f"unknown scaling-function family {family!r}")
+    """Construct a scaling function by family name, one of FAMILIES."""
+    if family not in FAMILIES:
+        raise ConfigurationError(f"unknown scaling-function family {family!r}")
+    order = FAMILIES.index(family) + 1
+    return build_daubechies(order) if order > 1 else build_haar()
 
 
 def eval_phi(sf: ScalingFunction, x):

@@ -14,10 +14,10 @@ import sys
 
 import numpy as np
 
-from .basis import build_family
+from .basis import FAMILIES, build_family
 from .errors import ConfigurationError, NumericalError
 from .estimator import evaluate, expected_estimator, fit, make_grid
-from .experiments import (ExperimentConfig, emit_report, run_theorem1,
+from .experiments import (ExperimentConfig, _write_json, emit_report, run_theorem1,
                           run_theorem2)
 from .increments import g_n_x, g_tilde_n_x
 from .kernel import ProjectionKernel, cell_lower_corners, localize
@@ -59,10 +59,8 @@ def _cmd_kernel(args) -> int:
     lk = localize(pk, args.level, center, args.step)
     _write_table(args.emit, "s", cell_lower_corners(lk), ["ktilde"],
                  lk.cell_values().ravel())
-    sidecar = {"sigma": lk.sigma, "tv": lk.tv, "integral": lk.integral()}
-    with open(args.emit.rsplit(".", 1)[0] + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.emit.rsplit(".", 1)[0] + ".json",
+                {"sigma": lk.sigma, "tv": lk.tv, "integral": lk.integral()})
     return 0
 
 
@@ -101,13 +99,10 @@ def _cmd_limitsets(args) -> int:
     _write_table(grid_csv, "s", cell_lower_corners(lk), ["ktilde", "gdot_lo", "gdot_hi"],
                  lk.cell_values().ravel(), iv.certificate["gdot_lo"].ravel(),
                  iv.certificate["gdot_hi"].ravel())
-    payload = {"v": iv.v, "lo": iv.lo, "hi": iv.hi,
-               "eta_lo": iv.certificate["eta_lo"],
-               "eta_hi": iv.certificate["eta_hi"],
-               "certificate_grid_csv": grid_csv}
-    with open(args.emit, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.emit, {"v": iv.v, "lo": iv.lo, "hi": iv.hi,
+                             "eta_lo": iv.certificate["eta_lo"],
+                             "eta_hi": iv.certificate["eta_hi"],
+                             "certificate_grid_csv": grid_csv})
     return 0
 
 
@@ -117,13 +112,12 @@ def _load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _cmd_theorem(args, which: int) -> int:
+def _cmd_theorem(args) -> int:
     config = _load_config(args.config)
-    report = run_theorem1(config) if which == 1 else run_theorem2(config)
-    out = args.output or f"theorem{which}"
-    csv_path, json_path = emit_report(report, out)
+    report = run_theorem1(config) if args.which == 1 else run_theorem2(config)
+    csv_path, json_path = emit_report(report, args.output or f"theorem{args.which}")
     status = "pass" if report["passed"] else "FAIL"
-    print(f"theorem{which}: {status}  records={csv_path} summary={json_path}")
+    print(f"theorem{args.which}: {status}  records={csv_path} summary={json_path}")
     for name, ok in report["predicates"].items():
         print(f"  {name}: {'pass' if ok else 'FAIL'}")
     return 0 if report["passed"] else 1
@@ -142,74 +136,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wavelet-projection density estimation and its "
                     "fluctuation/consistency experiments.")
     sub = p.add_subparsers(dest="command", required=True)
+    # the options that several subcommands take, one parent parser each
+    family, dim, step, sample, emit, config = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    family.add_argument("--family", required=True, choices=FAMILIES)
+    dim.add_argument("--dim", type=int, default=1)
+    step.add_argument("--step", type=float, default=2.0 ** -10)
+    sample.add_argument("--density", required=True)
+    sample.add_argument("--n", type=int, required=True)
+    sample.add_argument("--seed", type=int, default=0)
+    emit.add_argument("--emit", required=True)
+    config.add_argument("--config", required=True)
 
-    b = sub.add_parser("basis", help="emit a scaling-function value table")
-    b.add_argument("--family", required=True, choices=["haar", "db4", "db6"])
-    b.add_argument("--emit", required=True)
+    def command(name, handler, summary, parents, **defaults):
+        c = sub.add_parser(name, help=summary, parents=parents)
+        c.set_defaults(handler=handler, **defaults)
+        return c
 
-    k = sub.add_parser("kernel", help="emit a localized kernel section")
-    k.add_argument("--family", required=True, choices=["haar", "db4", "db6"])
-    k.add_argument("--dim", type=int, default=1)
+    command("basis", _cmd_basis, "emit a scaling-function value table", [family, emit])
+    k = command("kernel", _cmd_kernel, "emit a localized kernel section",
+                [family, dim, step, emit])
     k.add_argument("--level", type=int, default=0)
     k.add_argument("--center", default="0")
-    k.add_argument("--step", type=float, default=2.0 ** -10)
-    k.add_argument("--emit", required=True)
-
-    e = sub.add_parser("estimate", help="fit and tabulate the estimator")
-    e.add_argument("--family", required=True, choices=["haar", "db4", "db6"])
-    e.add_argument("--dim", type=int, default=1)
+    e = command("estimate", _cmd_estimate, "fit and tabulate the estimator",
+                [family, dim, sample, emit])
     e.add_argument("--level", type=int, required=True)
-    e.add_argument("--density", required=True)
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--emit", required=True)
-
-    g = sub.add_parser("increments", help="emit an increment function table")
+    g = command("increments", _cmd_increments, "emit an increment function table",
+                [dim, sample, step, emit])
     g.add_argument("--kind", required=True, choices=["gnx", "gtilde"])
-    g.add_argument("--density", required=True)
-    g.add_argument("--dim", type=int, default=1)
     g.add_argument("--level", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--center", default="0.5")
     g.add_argument("--c", type=float, default=1.0)
-    g.add_argument("--step", type=float, default=2.0 ** -10)
-    g.add_argument("--emit", required=True)
-
-    ls = sub.add_parser("limitsets", help="emit a Gamma_v image interval")
-    ls.add_argument("--family", required=True, choices=["haar", "db4", "db6"])
-    ls.add_argument("--dim", type=int, default=1)
+    ls = command("limitsets", _cmd_limitsets, "emit a Gamma_v image interval",
+                 [family, dim, step, emit])
     ls.add_argument("--v", type=float, required=True)
-    ls.add_argument("--step", type=float, default=2.0 ** -10)
-    ls.add_argument("--emit", required=True)
-
     for which in (1, 2):
-        t = sub.add_parser(f"theorem{which}",
-                           help=f"run the theorem-{which} experiment")
-        t.add_argument("--config", required=True)
+        t = command(f"theorem{which}", _cmd_theorem,
+                    f"run the theorem-{which} experiment", [config], which=which)
         t.add_argument("--output", default=None)
-
-    v = sub.add_parser("validate", help="check a config file's invariants")
-    v.add_argument("--config", required=True)
+    command("validate", _cmd_validate, "check a config file's invariants", [config])
     return p
-
-
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "kernel": _cmd_kernel,
-    "estimate": _cmd_estimate,
-    "increments": _cmd_increments,
-    "limitsets": _cmd_limitsets,
-    "theorem1": lambda a: _cmd_theorem(a, 1),
-    "theorem2": lambda a: _cmd_theorem(a, 2),
-    "validate": _cmd_validate,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ConfigurationError, NumericalError, OSError, ValueError,
             KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

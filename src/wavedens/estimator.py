@@ -29,7 +29,7 @@ _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1
 _MAX_NODE = 2 ** 52  # i + 1/2 is an exact float for integers 0 <= i < 2^52
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletDensityEstimator:
     """Level-j projection estimator with sparse coefficients over occupied
     shifts.  Internally the occupied k-box is stored densely for speed: on
@@ -109,7 +109,7 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
         # products formed and the offsets visited in the same order.
         # np.add.at adds in sample order; a np.bincount would sum the float
         # values in another order and move the coefficients by ulps.
-        _, first, factors = _plan(basis, j, sample)
+        first, factors = _plan(basis, j, sample)
         for k, o in zip(first, origin):
             k -= o  # in place: the table index of the first shift
         base, strides = _flat_base(first, shape)
@@ -155,7 +155,7 @@ def _axis_plan(basis: ScalingFunction, y: np.ndarray) -> tuple:
 
 def _plan(basis: ScalingFunction, j: int, pts: np.ndarray) -> tuple:
     """The half of a table sum at finite points pts (m, d) that no table
-    enters: (basis, first, factors), with first[i] and factors[i] the
+    enters: (first, factors), with first[i] and factors[i] the
     `_axis_plan` of axis i: d * width arrays of m values, not the width^d
     products.
 
@@ -168,8 +168,7 @@ def _plan(basis: ScalingFunction, j: int, pts: np.ndarray) -> tuple:
     with np.errstate(over="ignore"):
         xs = pts * (2.0 ** j)
     np.clip(xs, -_MAX_SHIFT, _MAX_SHIFT, out=xs)
-    first, factors = zip(*(_axis_plan(basis, y) for y in xs.T))
-    return basis, first, factors
+    return tuple(zip(*(_axis_plan(basis, y) for y in xs.T)))
 
 
 def _flat_base(ks, shape: tuple) -> tuple:
@@ -190,8 +189,8 @@ def _apply(plan: tuple, origin: np.ndarray, table: np.ndarray) -> np.ndarray:
     as fit's scatter visits them.  When every shift of the plan lies inside
     the table box, the mask of shifts inside it is all ones and is skipped:
     a product times 1.0 is the product."""
-    basis, first, factors = plan
-    w, d, shape = basis.width, len(first), table.shape
+    first, factors = plan
+    w, d, shape = len(factors[0]), len(first), table.shape
     ks = [f - o for f, o in zip(first, origin)]  # table index of the first shift
     covered = all(k.size == 0 or (k.min() >= 0 and k.max() + w <= m)
                   for k, m in zip(ks, shape))
@@ -223,12 +222,11 @@ def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
     grid = isinstance(x, EvaluationGrid)
     plans = x._plans if grid else {}
     pts, single = _as_points(x.points if grid else x, d)
-    key = (id(est.basis), j)  # the plan holds the basis, so its id is not reused
-    plan = plans.get(key)
+    plan = plans.get((est.basis, j))
     if plan is None:
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        plan = plans[key] = _plan(est.basis, j, pts)
+        plan = plans[est.basis, j] = _plan(est.basis, j, pts)
     out = _apply(plan, est.origin, est.table)
     out *= 2.0 ** (d * j / 2.0)
     return float(out[0]) if single else out
@@ -344,16 +342,15 @@ def expected_estimator(density: Density, basis: ScalingFunction, j: int,
     return float(out[0]) if single else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationGrid:
     """The points of H where the sup statistics are taken, as (m, d)."""
 
     points: np.ndarray = field(repr=False)
-    # evaluate's `_plan` per (id(basis), level); a plan holds its basis
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # sup_deviation's (density, pdf at the points) per id(density); holding
-    # the density keeps its id from being reused
-    _pdfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # evaluate's `_plan` per (basis, level)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
+    # sup_deviation's pdf at the points per density
+    _pdfs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self):
         return len(self.points)
@@ -394,7 +391,7 @@ def make_grid(box, j: int) -> EvaluationGrid:
         [np.array([m / den for m in ms]) for ms, den in axes]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupStatistic:
     sup_dev: float
     inf_dev: float
@@ -420,11 +417,9 @@ def sup_deviation(est: WaveletDensityEstimator, density: Density,
     if expected is not None and np.shape(expected) != (len(grid),):
         raise ConfigurationError(f"expected has shape {np.shape(expected)}, not ({len(grid)},)")
     fhat = evaluate(est, grid)
-    memo = grid._pdfs.get(id(density))
-    if memo is None:
-        f = np.asarray(density.pdf(grid.points), float)
-        memo = grid._pdfs[id(density)] = (density, f)
-    f = memo[1]
+    f = grid._pdfs.get(density)
+    if f is None:
+        f = grid._pdfs[density] = np.asarray(density.pdf(grid.points), float)
     if np.any(f <= 0.0):
         raise ValueError("density must be strictly positive on the grid")
     d, j, n = est.dimension, est.level, est.n

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -22,7 +21,8 @@ from .errors import ConfigurationError
 from .estimator import expected_estimator, fit, make_grid, sup_deviation
 from .kernel import ProjectionKernel, localize
 from .limitsets import theorem2_threshold
-from .sampling import SeedSpec, _as_point, _check_dimension, _is_int, draw, make_density
+from .sampling import (SeedSpec, _as_point, _check_dimension, _is_int, _is_real, draw,
+                       make_density)
 
 DEFAULT_RATIO_THRESHOLD_FRACTION = 0.25
 
@@ -37,11 +37,11 @@ class ResolutionSchedule:
         _check_dimension(self.dimension)
         if self.regime == "CRS":
             g = self.params.get("gamma")
-            if not isinstance(g, numbers.Real) or not 0.0 < g < 1.0:
+            if not (_is_real(g) and 0.0 < g < 1.0):
                 raise ConfigurationError("CRS schedule needs gamma in (0, 1)")
         elif self.regime == "ER":
             c = self.params.get("c")
-            if not (isinstance(c, numbers.Real) and 0.0 < c < math.inf):
+            if not (_is_real(c) and 0.0 < c < math.inf):
                 raise ConfigurationError("ER schedule needs a finite c > 0")
         else:
             raise ConfigurationError(f"unknown schedule regime {self.regime!r}")
@@ -135,7 +135,7 @@ class ExperimentConfig:
         schedule = ResolutionSchedule(regime, sched, data["dimension"])
         h = data["h"]
         if not (isinstance(h, list) and len(h) == 2 and all(
-                isinstance(v, list) and all(isinstance(b, numbers.Real) for b in v)
+                isinstance(v, list) and all(_is_real(b) for b in v)
                 for v in h)):
             raise ConfigurationError("h must be [lo, hi] with one list of numbers each")
         if not isinstance(data["n_grid"], list):
@@ -300,6 +300,13 @@ def _format_point(pt) -> str:
     return ";".join(repr(float(v)) for v in pt)
 
 
+def _write_json(path: str, payload: dict) -> None:
+    """payload as JSON with sorted keys, indent 2 and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def emit_report(report: dict, path: str):
     """Write records CSV and summary JSON; byte-deterministic per config."""
     cfg = report["config"]
@@ -313,8 +320,5 @@ def emit_report(report: dict, path: str):
         ]))
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    payload = {k: v for k, v in report.items() if k != "records"}
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, {k: v for k, v in report.items() if k != "records"})
     return csv_path, json_path

@@ -21,12 +21,12 @@ from .errors import ConfigurationError
 from .estimator import _flat_base, evaluate_kernel_form, expected_estimator
 from .kernel import (LocalizedKernel, ProjectionKernel, _box_diff, _box_sum,
                      _corner_axes, kernel_K_batch)
-from .sampling import Density, _as_point, _as_sample, _check_level
+from .sampling import Density, _as_point, _as_sample, _check_level, _is_real
 
 DEFAULT_GRID_STEP = 2.0 ** -10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncrementFunction:
     """A grid-discretized box functional s -> value([s, top])."""
 
@@ -102,7 +102,7 @@ def g_n_x(sample, density: Density, x, j: int,
 def g_tilde_n_x(sample, density: Density, x, j: int, c: float,
                 halfwidth: float = 1.0, grid_step: float = DEFAULT_GRID_STEP) -> IncrementFunction:
     """Erdos-Renyi scaled counting functional (nonnegative, box-monotone)."""
-    if not 0.0 < c < math.inf:
+    if not (_is_real(c) and 0.0 < c < math.inf):
         raise ValueError(f"c must be positive and finite, got {c!r}")
     n, _, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step, 0)
     values = counts / (c * fx * n * h)

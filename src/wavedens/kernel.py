@@ -66,7 +66,7 @@ def kernel_Kj_batch(pk: ProjectionKernel, j: int, x, y) -> np.ndarray:
         pk, scale * np.asarray(x, float), scale * np.asarray(y, float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalizedKernel:
     """Ktilde_{j,x} sampled on a uniform corner lattice over [-W, W]^d.
 
@@ -83,7 +83,7 @@ class LocalizedKernel:
     tv: float
     # gamma_interval's cost curve, (sign, eta) -> cost: floats only.  A cost
     # depends on the kernel, the sign and eta alone, never on the budget.
-    _costs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _costs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dimension(self) -> int:

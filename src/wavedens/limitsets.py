@@ -19,11 +19,12 @@ from ._threads import thread_count
 from .errors import NumericalError
 from .increments import from_cell_density, theta
 from .kernel import LocalizedKernel
+from .sampling import _is_real
 
 _EXP_CLIP = 500.0  # exp argument cap; costs beyond this dwarf any feasible 1/v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalJ:
     """Image interval of Gamma_v under the unnormalized kernel functional."""
 
@@ -233,7 +234,7 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
     solved in a worker thread while the lower one runs here (exp and log
     release the GIL); the results are the same bits either way.
     """
-    if not v > 0.0:  # NaN too
+    if not (_is_real(v) and v > 0.0):  # NaN too
         raise ValueError(f"v must be positive, got {v!r}")
     kv = lk.cell_values()
     budget = 1.0 / v
@@ -263,7 +264,7 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
 def theorem2_threshold(density, box, c: float, lk: LocalizedKernel) -> float:
     """Predicted persistent relative-deviation magnitude under ER scaling:
     delta = min(hi - 1, 1 - lo) of the Gamma interval at v = c f(x0)."""
-    if not 0.0 < c < math.inf:
+    if not (_is_real(c) and 0.0 < c < math.inf):
         raise ValueError(f"ER constant c must be positive and finite, got {c!r}")
     fx0 = density.sup_on(box)
     iv = gamma_interval(lk, c * fx0)

@@ -48,6 +48,10 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _check_level(j: int, d: int, lowest: int = 0) -> int:
     """A multiresolution level in d dimensions: an integer j >= lowest with
     2^(d j) a finite float, so that the bandwidth 2^(-d j) is positive.  The
@@ -362,12 +366,19 @@ class Density:
         return total
 
     def sup_on(self, box) -> float:
-        """sup of the pdf over a box H (grid search plus local refinement)."""
+        """sup of the pdf over a box H (grid search plus local refinement).
+
+        The search grid has 2049 points in 1-D and n per axis from 2-D on:
+        the largest n with n^d <= 257^2 (257 in 2-D, 40 in 3-D, 16 in 4-D),
+        and at least 2."""
         lo, hi = (_as_point(v, self.dimension) for v in box)
         if not np.all(lo <= hi):  # NaN fails too
             raise ConfigurationError("box must have lo <= hi in every coordinate")
-        n = 2049 if self.dimension == 1 else 257
-        pts = _grid_points([np.linspace(lo[i], hi[i], n) for i in range(self.dimension)])
+        d = self.dimension
+        # 257 is prime: from d = 3 on, 257^(2/d) is not an integer, and int()
+        # floors it; at d = 2 it is 257.0 exactly
+        n = 2049 if d == 1 else max(2, int(257 ** (2 / d)))
+        pts = _grid_points([np.linspace(lo[i], hi[i], n) for i in range(d)])
         vals = self.pdf(pts)
         best = int(np.argmax(vals))
         x0 = pts[best]
@@ -376,7 +387,7 @@ class Density:
         val0 = float(vals[best])
         for _ in range(40):
             improved = False
-            for i in range(self.dimension):
+            for i in range(d):
                 for delta in (-0.5 * span[i], 0.5 * span[i]):
                     cand = x0.copy()
                     cand[i] = min(max(cand[i] + delta, lo[i]), hi[i])
@@ -408,8 +419,8 @@ def draw(density: Density, seed_spec: SeedSpec, n: int) -> np.ndarray:
     Inverse-CDF per coordinate for single-component densities, component
     draw plus per-coordinate rejection for the mixture.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not (_is_int(n) and n >= 1):
+        raise ConfigurationError(f"n must be an integer >= 1, got {n!r}")
     rng = seed_spec.rng()
     d = density.dimension
     if len(density.components) == 1:

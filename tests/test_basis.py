@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wavedens.basis import (build_daubechies, build_family, build_haar,
-                            eval_phi)
+from wavedens.basis import (FAMILIES, build_daubechies, build_family,
+                            build_haar, eval_phi)
 from wavedens.errors import ConfigurationError
 
 SQRT3 = math.sqrt(3.0)
@@ -90,3 +90,10 @@ def test_unknown_family_raises():
         build_family("meyer")
     with pytest.raises(ConfigurationError):
         build_daubechies(4)
+
+
+def test_build_family_builds_each_of_families_by_its_name():
+    assert [build_family(name).name for name in FAMILIES] == list(FAMILIES)
+    for name in ("db8", "HAAR", "", None, ["haar"]):
+        with pytest.raises(ConfigurationError, match="unknown scaling-function family"):
+            build_family(name)

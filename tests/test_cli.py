@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wavedens.basis import FAMILIES
 from wavedens.cli import main
 
 CFG1 = {
@@ -213,6 +215,53 @@ def test_bad_config_is_error(tmp_path):
         assert main(["validate", "--config", cfg]) == 2, change
         out = str(tmp_path / f"bad{i}")
         assert main(["theorem2", "--config", cfg, "--output", out]) == 2, change
+
+
+@pytest.mark.parametrize("change", [{"schedule": {"regime": "ER", "c": True}},
+                                    {"h": [[False], [True]]}])
+def test_a_bool_is_not_a_config_number(tmp_path, capsys, change):
+    # both ran: theorem 2 on c = 1 (its summary echoed "c": true) and on H = [0, 1]
+    cfg = _write_cfg(tmp_path, dict(CFG1, theorem=2, **change))
+    out = tmp_path / "run"
+    for argv in (["validate"], ["theorem2", "--output", str(out)]):
+        assert main(argv + ["--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert not out.with_suffix(".csv").exists()
+
+
+def test_family_takes_its_choices_from_families(tmp_path, capsys):
+    for name in FAMILIES:
+        assert main(["basis", "--family", name, "--emit", str(tmp_path / "phi.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--family", "db8", "--emit", str(tmp_path / "phi.csv")])
+    assert exc.value.code == 2 and "invalid choice: 'db8'" in capsys.readouterr().err
+
+
+_HAAR = {"density": "uniform01", "dimension": 1, "basis": "haar", "h": [[0.25], [0.75]],
+         "n_grid": [2 ** k for k in range(12, 21)], "replications": 30,
+         "base_seed": 20260823}
+_CRS, _ER = {"regime": "CRS", "gamma": 0.6}, {"regime": "ER", "c": 0.5}
+
+
+@pytest.mark.parametrize("config, sha256", [
+    pytest.param(dict(_HAAR, theorem=1, schedule=_CRS), "c79e8aa4c8c0ddfb",
+                 id="t1_crs_haar"),
+    pytest.param(dict(_HAAR, theorem=2, schedule=_ER), "0dc9c713eb9e17ec",
+                 id="t2_er_haar"),
+    pytest.param(dict(_HAAR, theorem=2, schedule=_CRS, n_grid=[2 ** 20], base_seed=11),
+                 "6e35b0705d1e6799", id="t2_crs_haar_contrast"),
+    pytest.param({"theorem": 2, "density": "cosine_bump", "dimension": 2, "basis": "db4",
+                  "h": [[0.25, 0.25], [0.75, 0.75]], "schedule": _ER,
+                  "n_grid": [4096, 8192, 16384], "replications": 30,
+                  "base_seed": 20260823}, "c0b658de660581a4", id="t2_er_db4_cosine_2d"),
+])
+def test_records_keep_their_bytes(tmp_path, config, sha256):
+    # the benchmark's Haar and D4 configs at their default seeds: a moved
+    # bit in any record shows here
+    out = tmp_path / "run"
+    main([f"theorem{config['theorem']}", "--config", _write_cfg(tmp_path, config),
+          "--output", str(out)])
+    assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest()[:16] == sha256
 
 
 def test_malformed_json_is_error(tmp_path):

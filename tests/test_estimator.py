@@ -13,7 +13,9 @@ from wavedens.errors import ConfigurationError, NumericalError
 from wavedens.estimator import (GRID_CAP, SupStatistic, evaluate,
                                 evaluate_kernel_form, expected_estimator, fit,
                                 make_grid, sup_deviation)
-from wavedens.kernel import ProjectionKernel, kernel_Kj_batch
+from wavedens.increments import g_tilde_n_x
+from wavedens.kernel import ProjectionKernel, kernel_Kj_batch, localize
+from wavedens.limitsets import gamma_interval
 from wavedens.sampling import Density, SeedSpec, draw, make_density
 
 
@@ -547,7 +549,7 @@ def test_smooth_fit_scatters_the_factors_evaluate_gathers(y):
             fit(basis, j, sample)
         return
     est = fit(basis, j, sample)
-    _, (first,), (factors,) = estimator._plan(basis, j, sample)
+    (first,), (factors,) = estimator._plan(basis, j, sample)
     table = np.zeros(est.table.shape)
     for o, phi in enumerate(factors):
         np.add.at(table, first - est.origin[0] + o, phi)
@@ -635,3 +637,26 @@ def test_expected_estimator_at_a_level_past_float_resolution():
         with pytest.raises(ConfigurationError, match=f"level j={j}"):
             expected_estimator(den, basis, j, x)
     assert expected_estimator(den, haar, 52, 0.9) == 1.0
+
+
+def test_objects_that_hold_arrays_compare_by_identity():
+    # == between two of them raised ValueError (the truth value of an array
+    # is ambiguous) and hash raised TypeError, so no memo could key on them
+    den = make_density("uniform01", 2)
+    sample = draw(den, SeedSpec(3), 50)
+    box = ((0.25,) * 2, (0.75,) * 2)
+
+    def lk():
+        return localize(ProjectionKernel(build_family("haar"), 1), 0, 0.0, 0.25)
+
+    def grid():
+        return make_grid(box, 2)
+
+    makers = [lambda: build_family("db4"), lambda: fit(build_family("haar"), 2, sample),
+              grid, lk, lambda: gamma_interval(lk(), 1.0),
+              lambda: g_tilde_n_x(sample, den, (0.5, 0.5), 2, 1.0, grid_step=0.25),
+              lambda: sup_deviation(fit(build_family("haar"), 2, sample), den, grid(),
+                                    "ratio")]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and len({a, b, a}) == 2, type(a).__name__

@@ -68,6 +68,18 @@ def test_schedule_validation():
         schedule_level(_crs(), 2)
 
 
+def test_a_bool_is_not_a_schedule_param_or_a_corner():
+    # "c": true passed as c = 1, and "h": [[false], [true]] as H = [0, 1]
+    with pytest.raises(ConfigurationError, match="ER schedule needs a finite c > 0"):
+        ResolutionSchedule("ER", {"c": True})
+    with pytest.raises(ConfigurationError, match="CRS schedule needs gamma"):
+        ResolutionSchedule("CRS", {"gamma": True})
+    data = dict(_config(theorem=2).to_dict(), h=[[False], [True]])
+    with pytest.raises(ConfigurationError, match="h must be"):
+        ExperimentConfig.from_dict(data)
+    assert ResolutionSchedule("ER", {"c": np.float64(0.5)}).params["c"] == 0.5
+
+
 def test_config_roundtrip():
     cfg = _config()
     again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))

@@ -283,9 +283,9 @@ def test_sup_deviation_needs_expected_on_every_grid_point():
     assert (given.sup_dev, given.inf_dev) == (computed.sup_dev, computed.inf_dev)
 
 
-@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, True])
 def test_gtilde_rejects_c_that_is_not_positive_and_finite(c):
-    # c = NaN gave all-NaN values, c = inf all zeros
+    # c = NaN gave all-NaN values, c = inf all zeros, c = True those of c = 1
     den = make_density("uniform01", 1)
     sample = draw(den, SeedSpec(3), 100)
     with pytest.raises(ValueError, match="c must be positive"):

@@ -121,12 +121,14 @@ def test_gamma_certificates_feasible():
 def test_gamma_rejects_nonpositive_v():
     with pytest.raises(ValueError):
         gamma_interval(_haar_lk(), 0.0)
-    # NaN passed a v <= 0 check and failed inside brentq
-    with pytest.raises(ValueError, match="v must be positive"):
-        gamma_interval(_haar_lk(), math.nan)
+    # NaN passed a v <= 0 check and failed inside brentq; True solved Gamma_1
+    for v in (math.nan, True):
+        with pytest.raises(ValueError, match="v must be positive"):
+            gamma_interval(_haar_lk(), v)
+    assert gamma_interval(_haar_lk(), np.float64(2.0)).hi == gamma_interval(_haar_lk(), 2.0).hi
 
 
-@pytest.mark.parametrize("c", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("c", [0.0, math.nan, math.inf, True])
 def test_theorem2_threshold_rejects_c_that_is_not_positive_and_finite(c):
     den = make_density("uniform01", 1)
     with pytest.raises(ValueError, match="ER constant c must be positive"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,18 @@ def test_seed_spec_takes_integers_in_0_to_2_64(args):
     assert SeedSpec(top, top).rng().random() == SeedSpec(np.uint64(top), top).rng().random()
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0, -3, "5"])
+def test_draw_takes_an_integer_n_of_at_least_1(n):
+    # 2.5, True and "5" raised TypeError, 0 and -3 a bare ValueError
+    with pytest.raises(ConfigurationError, match="n must be an integer >= 1"):
+        draw(make_density("uniform01", 1), SeedSpec(0), n)
+
+
+def test_draw_takes_a_numpy_integer_n():
+    den = make_density("cosine_bump", 2)
+    assert draw(den, SeedSpec(4), np.int64(7)).tobytes() == draw(den, SeedSpec(4), 7).tobytes()
+
+
 def test_empirical_frequencies_match_pdf():
     den = make_density("trunc_gauss_mix", 1)
     pts = draw(den, SeedSpec(9), 200_000)[:, 0]
@@ -133,6 +146,23 @@ def test_sup_on():
             uni.sup_on(box)
     with pytest.raises(ConfigurationError, match="lo <= hi"):
         make_density("uniform01", 2).sup_on(((0.25, 0.75), (0.75, 0.5)))
+
+
+def test_sup_on_in_3d_searches_at_most_257_squared_points():
+    # the search grid had 257^3 = 16.97M points in 3-D, about 1 GB and 1-3 s a
+    # call, and 4.4e9 in 4-D; now 40^3 and 16^4.  The pinned value is the
+    # 257^3 search's
+    box = ((0.25, 0.1, 0.3), (0.75, 0.6, 0.95))
+    tracemalloc.start()
+    try:
+        got = make_density("trunc_gauss_mix", 3).sup_on(box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(19.344059458131085, rel=1e-15, abs=0.0)
+    assert peak < 16e6
+    assert make_density("cosine_bump", 3).sup_on(((0.0,) * 3, (1.0,) * 3)) == 1.5 ** 3
+    assert make_density("cosine_bump", 4).sup_on(((0.0,) * 4, (1.0,) * 4)) == 1.5 ** 4
 
 
 def test_make_density_errors():
