@@ -17,8 +17,8 @@ import numpy as np
 from .basis import FAMILIES, build_family
 from .errors import ConfigurationError, NumericalError
 from .estimator import evaluate, expected_estimator, fit, make_grid
-from .experiments import (ExperimentConfig, _write_json, emit_report, run_theorem1,
-                          run_theorem2)
+from .experiments import (ExperimentConfig, _write_csv, _write_json, emit_report,
+                          run_theorem1, run_theorem2)
 from .increments import g_n_x, g_tilde_n_x
 from .kernel import ProjectionKernel, cell_lower_corners, localize
 from .limitsets import gamma_interval
@@ -27,13 +27,6 @@ from .sampling import SeedSpec, _grid_points, draw, make_density
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
-
-
-def _write_csv(path: str, header: str, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
 
 
 def _write_table(path: str, prefix: str, points, names: list, *columns):

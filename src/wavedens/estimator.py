@@ -62,21 +62,14 @@ class WaveletDensityEstimator:
 def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     """Empirical scaling coefficients alpha_hat_{j,k} = (1/n) sum_i phi_{j,k}(X_i).
 
-    Raises ValueError for an empty or non-finite sample, and for one whose
-    k-box would exceed _MAX_TABLE_CELLS cells or reach |2^j x| >= 2^62, or
-    2^52 for a smooth basis: past 2^53 its shifts are not all floats, and a
-    factor phi(2^j x - k) would be taken at a rounded argument."""
-    sample = _as_sample(sample)
+    Raises ConfigurationError for an empty or non-finite sample
+    (`_as_sample`), and ValueError for one whose k-box would exceed
+    _MAX_TABLE_CELLS cells or reach |2^j x| >= 2^62, or 2^52 for a smooth
+    basis: past 2^53 its shifts are not all floats, and a factor
+    phi(2^j x - k) would be taken at a rounded argument."""
+    sample, lo, hi = _as_sample(sample)
     n, d = sample.shape
     j = _check_level(j, d)
-    if n == 0:
-        raise ValueError("empty sample")
-    # Per column: numpy reduces an (n, d) array along axis 0 about ten times
-    # slower than its d strided columns.  NaN propagates to both bounds.
-    lo = np.array([col.min() for col in sample.T])
-    hi = np.array([col.max() for col in sample.T])
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("sample must be finite")
     # Size the k-box from the bounds scaled in Python floats, before any numpy
     # scaling or int64 cast, so that a far outlier fails here rather than in
     # the multiply, the cast or the allocation.  Python floats overflow to inf
@@ -235,10 +228,8 @@ def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
 def evaluate_kernel_form(basis: ScalingFunction, j: int, sample, x) -> float:
     """fhat(x) = (1/n) sum_i K_j(x, X_i) at one point x of shape (d,) (or a
     scalar when d = 1); equals the coefficient form."""
-    sample = _as_sample(sample)
+    sample = _as_sample(sample)[0]
     n, d = sample.shape
-    if n == 0:
-        raise ValueError("empty sample")
     pk = ProjectionKernel(basis, d)
     return float(kernel_Kj_batch(pk, j, _as_point(x, d), sample).sum() / n)
 

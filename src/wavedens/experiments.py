@@ -51,9 +51,9 @@ class ResolutionSchedule:
 
 
 def schedule_level(schedule: ResolutionSchedule, n: int) -> int:
-    """Multiresolution level j_n for sample size n."""
-    if n < 4:
-        raise ConfigurationError("n must be >= 4")
+    """Multiresolution level j_n for an integer sample size n >= 4."""
+    if not (_is_int(n) and n >= 4):
+        raise ConfigurationError(f"n must be an integer >= 4, got {n!r}")
     d = schedule.dimension
     if schedule.regime == "CRS":
         return max(1, int(math.floor(schedule.params["gamma"] * math.log2(n) / d)))
@@ -107,19 +107,13 @@ class ExperimentConfig:
         return make_density(self.density, self.dimension), build_family(self.basis)
 
     def to_dict(self) -> dict:
+        """The config as JSON data: each field under its name, as is but for
+        the three whose JSON form differs, and the log convention."""
         lo, hi = (_as_point(v, self.dimension) for v in self.h)
-        return {
-            "theorem": self.theorem,
-            "density": self.density,
-            "dimension": self.dimension,
-            "basis": self.basis,
-            "h": [list(lo), list(hi)],
-            "schedule": {"regime": self.schedule.regime, **self.schedule.params},
-            "n_grid": list(self.n_grid),
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "log_convention": "natural",
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "h": [list(lo), list(hi)],
+                "schedule": {"regime": self.schedule.regime, **self.schedule.params},
+                "n_grid": list(self.n_grid), "log_convention": "natural"}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -140,17 +134,11 @@ class ExperimentConfig:
             raise ConfigurationError("h must be [lo, hi] with one list of numbers each")
         if not isinstance(data["n_grid"], list):
             raise ConfigurationError("n_grid must be a list")
-        return cls(
-            theorem=data["theorem"],
-            density=data["density"],
-            dimension=data["dimension"],
-            basis=data["basis"],
-            h=(tuple(h[0]), tuple(h[1])),
-            schedule=schedule,
-            n_grid=tuple(data["n_grid"]),
-            replications=data["replications"],
-            base_seed=data["base_seed"],
-        )
+        # data[name]: a missing key raises KeyError, where cls(**data) would
+        # raise TypeError
+        return cls(**{**{f.name: data[f.name] for f in fields(cls)},
+                      "h": (tuple(h[0]), tuple(h[1])), "schedule": schedule,
+                      "n_grid": tuple(data["n_grid"])})
 
 
 @dataclass(frozen=True)
@@ -296,8 +284,12 @@ def run_theorem2(config: ExperimentConfig) -> dict:
             "predicates": predicates, "passed": all(predicates.values())}
 
 
-def _format_point(pt) -> str:
-    return ";".join(repr(float(v)) for v in pt)
+def _write_csv(path: str, header: str, rows) -> None:
+    """A header line, then each row of strings joined by commas."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -311,14 +303,10 @@ def emit_report(report: dict, path: str):
     """Write records CSV and summary JSON; byte-deterministic per config."""
     cfg = report["config"]
     csv_path, json_path = path + ".csv", path + ".json"
-    lines = ["theorem,n,j,rep,sup_dev,inf_dev,argmax,seed"]
-    for r in report["records"]:
-        lines.append(",".join([
-            str(cfg["theorem"]), str(r.n), str(r.level), str(r.replication),
-            repr(r.sup_dev), repr(r.inf_dev), _format_point(r.argmax),
-            str(r.stream_index),
-        ]))
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(csv_path, "theorem,n,j,rep,sup_dev,inf_dev,argmax,seed",
+               ([str(cfg["theorem"]), str(r.n), str(r.level), str(r.replication),
+                 repr(r.sup_dev), repr(r.inf_dev),
+                 ";".join(repr(float(v)) for v in r.argmax), str(r.stream_index)]
+                for r in report["records"]))
     _write_json(json_path, {k: v for k, v in report.items() if k != "records"})
     return csv_path, json_path

@@ -47,15 +47,13 @@ def _corner_counts(sample, density: Density, x, j: int, halfwidth: float,
     """Set-up shared by g_{n,x} and gtilde_{n,x}: (n, x, f(x), h, axes, counts),
     counts holding the number of rescaled points 2^j (X_i - x) in [s, top]
     for every corner s of the lattice; j must be at least `lowest`."""
-    sample = _as_sample(sample)
+    sample = _as_sample(sample)[0]
     n, d = sample.shape
     j = _check_level(j, d, lowest)
     x = _as_point(x, d)
     fx = density.pdf(x)
     if fx <= 0.0:
         raise ValueError("f(x) must be positive")
-    if not np.all(np.isfinite(sample)):
-        raise ValueError("sample must be finite")
     axes = _corner_axes(halfwidth, grid_step, d)
     with np.errstate(over="ignore"):  # a point that overflows is off the lattice
         u = (sample - x) / (2.0 ** -j)
@@ -150,7 +148,7 @@ def relation_check(sample, density: Density, x, j: int, basis: ScalingFunction) 
     sigma-normalized variant fails by the factor sigma for bases with
     K(0,0) != 1, e.g. D4.
     """
-    sample = _as_sample(sample)
+    sample = _as_sample(sample)[0]
     n, d = sample.shape
     j = _check_level(j, d, lowest=1)
     x = _as_point(x, d)

@@ -47,23 +47,31 @@ def _kernel1(sf: ScalingFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_K_batch(pk: ProjectionKernel, x, y) -> np.ndarray:
-    """Vectorized K over batches of points with shape (..., d), d the
-    kernel's dimension; the leading axes of x and y broadcast."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
+def _batches(pk: ProjectionKernel, x, y) -> tuple:
+    """x and y as float batches of points (..., d), d the kernel's dimension;
+    another last axis or a NaN or infinite entry raises ConfigurationError."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
     if x.shape[-1:] != (pk.dimension,) or y.shape[-1:] != (pk.dimension,):
         raise ConfigurationError(f"points must have shape (..., d) with d = "
                                  f"{pk.dimension}, got {x.shape} and {y.shape}")
+    if not all(v.size == 0 or -np.inf < v.min() <= v.max() < np.inf for v in (x, y)):
+        raise ConfigurationError("points must be finite")  # NaN fails the test too
+    return x, y
+
+
+def kernel_K_batch(pk: ProjectionKernel, x, y) -> np.ndarray:
+    """Vectorized K over batches of points with shape (..., d), d the
+    kernel's dimension; the leading axes of x and y broadcast."""
+    x, y = _batches(pk, x, y)
     return np.prod(_kernel1(pk.basis, x, y), axis=-1)
 
 
 def kernel_Kj_batch(pk: ProjectionKernel, j: int, x, y) -> np.ndarray:
     """K_j(x, y) = 2^(dj) K(2^j x, 2^j y) over batches of points (..., d)."""
     j = _check_level(j, pk.dimension)
+    x, y = _batches(pk, x, y)
     scale = 2.0 ** j
-    return 2.0 ** (pk.dimension * j) * kernel_K_batch(
-        pk, scale * np.asarray(x, float), scale * np.asarray(y, float))
+    return 2.0 ** (pk.dimension * j) * kernel_K_batch(pk, scale * x, scale * y)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,10 +21,25 @@ _TWO_PI = 2.0 * math.pi
 _PPF_NODES = 1 << 12  # intervals of the cosine_bump inverse-CDF table
 
 
-def _as_sample(sample) -> np.ndarray:
-    """A sample as an (n, d) float array; a 1-D array is n points in d = 1."""
+def _as_sample(sample) -> tuple:
+    """(sample, lo, hi): a sample as an (n, d) float array, a 1-D array
+    being n points in d = 1, and the minima and maxima of its d columns.
+    Another shape, an empty sample or one with a NaN or infinite entry
+    raises ConfigurationError."""
     sample = np.asarray(sample, float)
-    return sample[:, None] if sample.ndim == 1 else sample
+    if sample.ndim == 1:
+        sample = sample[:, None]
+    if sample.ndim != 2 or sample.shape[1] == 0:
+        raise ConfigurationError(f"sample must have shape (n,) or (n, d >= 1), got {sample.shape}")
+    if len(sample) == 0:
+        raise ConfigurationError("empty sample")
+    # Per column: numpy reduces an (n, d) array along axis 0 about ten times
+    # slower than its d strided columns.  NaN propagates to both bounds.
+    lo = np.array([col.min() for col in sample.T])
+    hi = np.array([col.max() for col in sample.T])
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ConfigurationError("sample must be finite")
+    return sample, lo, hi
 
 
 def _as_points(x, d: int, one: bool = False) -> tuple:
@@ -348,16 +363,20 @@ class Density:
 
         lo_axes: list of d arrays of lower-corner coordinates; hi: a corner
         of shape (d,); returns an array of shape (len(ax) for ax in lo_axes).
-        Another number of axes raises ValueError.
+        Another number of axes raises ValueError, a NaN corner coordinate
+        ConfigurationError; an infinite one is a valid corner.
         """
         if len(lo_axes) != self.dimension:
             raise ValueError(f"lo_axes must hold d = {self.dimension} axes, "
                              f"got {len(lo_axes)}")
         hi = _as_point(hi, self.dimension)
+        # one cdf call per axis, with hi[i] last; each value keeps its bits
+        axes = [np.append(ax, hi[i]) for i, ax in enumerate(lo_axes)]
+        if any(np.isnan(ax).any() for ax in axes):
+            raise ConfigurationError("box corners must not be NaN")
         total = 0.0
         for w, m in self.components:
-            # one cdf call per axis, with hi[i] last; each value keeps its bits
-            cdfs = (m.cdf(np.append(ax, hi[i])) for i, ax in enumerate(lo_axes))
+            cdfs = (m.cdf(ax) for ax in axes)
             factors = [np.maximum(c[-1] - c[:-1], 0.0) for c in cdfs]
             part = factors[0]
             for f in factors[1:]:

@@ -243,25 +243,39 @@ _HAAR = {"density": "uniform01", "dimension": 1, "basis": "haar", "h": [[0.25], 
 _CRS, _ER = {"regime": "CRS", "gamma": 0.6}, {"regime": "ER", "c": 0.5}
 
 
-@pytest.mark.parametrize("config, sha256", [
+@pytest.mark.parametrize("config, sha256, summary_sha256", [
     pytest.param(dict(_HAAR, theorem=1, schedule=_CRS), "c79e8aa4c8c0ddfb",
-                 id="t1_crs_haar"),
+                 "07c34268a2c2f4a8", id="t1_crs_haar"),
     pytest.param(dict(_HAAR, theorem=2, schedule=_ER), "0dc9c713eb9e17ec",
-                 id="t2_er_haar"),
+                 "b27ebcf595a2815e", id="t2_er_haar"),
     pytest.param(dict(_HAAR, theorem=2, schedule=_CRS, n_grid=[2 ** 20], base_seed=11),
-                 "6e35b0705d1e6799", id="t2_crs_haar_contrast"),
+                 "6e35b0705d1e6799", "314be41cbbf872ee", id="t2_crs_haar_contrast"),
     pytest.param({"theorem": 2, "density": "cosine_bump", "dimension": 2, "basis": "db4",
                   "h": [[0.25, 0.25], [0.75, 0.75]], "schedule": _ER,
                   "n_grid": [4096, 8192, 16384], "replications": 30,
-                  "base_seed": 20260823}, "c0b658de660581a4", id="t2_er_db4_cosine_2d"),
+                  "base_seed": 20260823}, "c0b658de660581a4", "7783ffc5b97345c5",
+                 id="t2_er_db4_cosine_2d"),
 ])
-def test_records_keep_their_bytes(tmp_path, config, sha256):
+def test_records_keep_their_bytes(tmp_path, config, sha256, summary_sha256):
     # the benchmark's Haar and D4 configs at their default seeds: a moved
-    # bit in any record shows here
+    # bit in any record, or in the summary and its echo of the config,
+    # shows here
     out = tmp_path / "run"
     main([f"theorem{config['theorem']}", "--config", _write_cfg(tmp_path, config),
           "--output", str(out)])
     assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest()[:16] == sha256
+    summary = out.with_suffix(".json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest()[:16] == summary_sha256
+
+
+def test_a_missing_config_key_exits_2(tmp_path, capsys):
+    # from_dict reads each field by name: a missing one is a KeyError (exit
+    # 2), where building the config from the JSON object as is would raise
+    # TypeError (exit 1)
+    for key in CFG1:
+        data = {k: v for k, v in CFG1.items() if k != key}
+        assert main(["validate", "--config", _write_cfg(tmp_path, data)]) == 2, key
+        assert capsys.readouterr().err == f"error: '{key}'\n"
 
 
 def test_malformed_json_is_error(tmp_path):

@@ -213,6 +213,26 @@ def test_kernel_form_rejects_an_empty_sample():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_form_rejects_a_non_finite_sample(bad):
+    # evaluate_kernel_form(haar, 3, [0.5, nan], 0.5) used to return 4.0,
+    # where fit raised on the same sample
+    for basis in (build_family("haar"), build_family("db4")):
+        with pytest.raises(ConfigurationError, match="sample must be finite"):
+            evaluate_kernel_form(basis, 3, np.array([0.5, bad]), 0.5)
+
+
+def test_a_sample_fault_comes_before_a_level_fault():
+    haar = build_family("haar")
+    with pytest.raises(ConfigurationError, match="empty sample"):
+        fit(haar, -1, [])
+    with pytest.raises(ConfigurationError, match="sample must be finite"):
+        evaluate_kernel_form(haar, -1, [np.nan], 0.5)
+    for sample in (0.5, np.empty((5, 0)), np.zeros((2, 2, 1))):
+        with pytest.raises(ConfigurationError, match=r"shape \(n,\) or \(n, d >= 1\)"):
+            fit(haar, -1, sample)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fit_and_evaluate_reject_non_finite(bad):
     basis = build_family("db4")
     with pytest.raises(ValueError, match="finite"):

@@ -42,6 +42,15 @@ def test_schedule_levels():
     assert schedule_level(_crs(0.05), 1024) == 1  # floor clamps at 1
 
 
+@pytest.mark.parametrize("n", [5.5, 1024.0, True, "1024", 2])
+def test_schedule_level_takes_an_integer_n_of_at_least_4(n):
+    # n = 5.5 used to give level 1
+    for f in (schedule_level, realized_ratio):
+        with pytest.raises(ConfigurationError, match="n must be an integer >= 4"):
+            f(_crs(0.5), n)
+    assert schedule_level(_crs(0.5), np.int64(1024)) == schedule_level(_crs(0.5), 1024)
+
+
 def test_er_ratio_near_constant():
     sched = _er(1.0)
     ratios = [realized_ratio(sched, 2 ** k) for k in range(10, 21)]

@@ -125,6 +125,26 @@ def test_relation_check_rejects_a_level_out_of_range():
             relation_check(sample, den, [0.5], j, build_family("haar"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_relation_check_rejects_a_non_finite_sample(bad):
+    # [0.5, nan] used to give a residual of 0.0
+    den = make_density("uniform01", 1)
+    for fam in ("haar", "db4"):
+        with pytest.raises(ConfigurationError, match="sample must be finite"):
+            relation_check(np.array([0.5, bad]), den, 0.5, 3, build_family(fam))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("increment", [g_n_x, g_tilde_n_x])
+def test_increment_functions_reject_an_empty_sample(increment):
+    # used to divide by n = 0: 2,049 NaN values, or a RuntimeWarning
+    args = (1.0,) if increment is g_tilde_n_x else ()
+    for d in (1, 2):
+        den = make_density("uniform01", d)
+        with pytest.raises(ConfigurationError, match="empty sample"):
+            increment(np.empty((0, d)), den, [0.5] * d, 2, *args)
+
+
 def test_gnx_rejects_level_zero():
     den = make_density("uniform01", 1)
     sample = draw(den, SeedSpec(0), 50)
@@ -268,6 +288,33 @@ def test_kernel_batches_need_d_on_the_last_axis(call):
     with pytest.raises(ConfigurationError, match="shape"):
         f(1, 0.3)  # no last axis
     assert f(1, [0.3]) == f(1, [[0.3]])[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(BATCH_CALLS))
+def test_kernel_batches_reject_non_finite_entries(call, bad):
+    # kernel_Kj_batch on Haar at (inf, inf) used to return 8.0
+    for d in (1, 2):
+        with pytest.raises(ConfigurationError, match="points must be finite"):
+            BATCH_CALLS[call](d, [[0.3] * d, [bad] + [0.3] * (d - 1)])
+    db4 = ProjectionKernel(build_family("db4"), 1)
+    with pytest.raises(ConfigurationError, match="points must be finite"):
+        kernel_K_batch(db4, [[bad]], [[0.5]])  # NaN used to give 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_form_rejects_a_non_finite_point(bad):
+    # Haar at NaN used to return 0.0; D4 at inf warned "invalid value in
+    # subtract", while evaluate raised at both
+    den = make_density("uniform01", 1)
+    sample = draw(den, SeedSpec(4), 50)
+    for fam in ("haar", "db4"):
+        with pytest.raises(ConfigurationError, match="points must be finite"):
+            evaluate_kernel_form(build_family(fam), 3, sample, bad)
+    with pytest.raises(ConfigurationError, match="points must be finite"):
+        relation_check(sample, den, bad, 3, HAAR)
 
 
 def test_sup_deviation_needs_expected_on_every_grid_point():

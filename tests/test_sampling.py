@@ -200,6 +200,20 @@ def test_density_pdf_rejects_other_point_shapes():
             den2.pdf(bad)
 
 
+def test_box_prob_rejects_a_nan_corner():
+    # box_prob([0, 0], [nan, 1]) was nan, and a NaN lower corner a NaN row
+    den = make_density("trunc_gauss_mix", 2)
+    for lo, hi in (([0.0, 0.0], [math.nan, 1.0]), ([math.nan, 0.0], [1.0, 1.0])):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            den.box_prob(lo, hi)
+    for axes, hi in (([[0.1, math.nan], [0.2]], [0.9, 0.9]), ([[0.1], [0.2]], [0.9, math.nan])):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            den.box_prob_grid(axes, hi)
+    # an infinite corner is a valid one
+    assert den.box_prob([-math.inf, -math.inf], [math.inf, math.inf]) == 1.0
+    assert den.box_prob([-math.inf, 0.0], [0.5, math.inf]) == den.box_prob([0.0, 0.0], [0.5, 1.0])
+
+
 def test_box_prob_grid_rejects_another_number_of_axes():
     den = make_density("trunc_gauss_mix", 2)
     with pytest.raises(ValueError):  # was the first coordinate's slab alone
