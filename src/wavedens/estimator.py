@@ -16,15 +16,13 @@ import numpy as np
 
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError, NumericalError
-from .kernel import ProjectionKernel, kernel_Kj_batch
+from .kernel import _MAX_SHIFT, ProjectionKernel, _check_reach, kernel_Kj_batch
 from .sampling import (Density, _as_point, _as_points, _as_sample, _check_level,
                        _grid_points)
 
 GRID_CAP = 4096
 _QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
 _MAX_TABLE_CELLS = 1 << 28  # largest coefficient box fit allocates (2 GiB)
-_MAX_SHIFT = 2.0 ** 62  # |2^j x| bound that keeps the int64 shift arithmetic exact
-_MAX_SMOOTH_SHIFT = 2.0 ** 52  # below it every shift and y - shift is an exact float
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1
 _MAX_NODE = 2 ** 52  # i + 1/2 is an exact float for integers 0 <= i < 2^52
 
@@ -63,10 +61,8 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     """Empirical scaling coefficients alpha_hat_{j,k} = (1/n) sum_i phi_{j,k}(X_i).
 
     Raises ConfigurationError for an empty or non-finite sample
-    (`_as_sample`), and ValueError for one whose k-box would exceed
-    _MAX_TABLE_CELLS cells or reach |2^j x| >= 2^62, or 2^52 for a smooth
-    basis: past 2^53 its shifts are not all floats, and a factor
-    phi(2^j x - k) would be taken at a rounded argument."""
+    (`_as_sample`) and for one past the reach rule (`kernel._check_reach`),
+    and ValueError for one whose k-box would exceed _MAX_TABLE_CELLS cells."""
     sample, lo, hi = _as_sample(sample)
     n, d = sample.shape
     j = _check_level(j, d)
@@ -80,10 +76,8 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     if cells > _MAX_TABLE_CELLS:
         raise ValueError(f"sample spans {cells:.4g} coefficient cells at level "
                          f"j={j}, more than the {_MAX_TABLE_CELLS} fit allocates")
+    _check_reach(basis, j, zip(lo, hi), "sample")
     haar = basis.interp == "left"
-    if max(max(-a, b) for a, b in bounds) >= (_MAX_SHIFT if haar else _MAX_SMOOTH_SHIFT):
-        raise ValueError(f"sample reaches |2^j x| >= 2^{62 if haar else 52} "
-                         f"at level j={j}")
     origin = np.floor(lo * scale).astype(np.int64) - (basis.width - 1)
     shape = tuple(int(s) for s in np.floor(hi * scale).astype(np.int64) - origin + 1)
     factor = 2.0 ** (d * j / 2.0) / n

@@ -152,10 +152,12 @@ def relation_check(sample, density: Density, x, j: int, basis: ScalingFunction) 
     n, d = sample.shape
     j = _check_level(j, d, lowest=1)
     x = _as_point(x, d)
-    fx = density.pdf(x)
     h = 2.0 ** (-d * j)
     log_term = math.log(1.0 / h)
-    fhat = evaluate_kernel_form(basis, j, sample, x)
+    fhat = evaluate_kernel_form(basis, j, sample, x)  # raises at a non-finite x
+    fx = density.pdf(x)
+    if fx <= 0.0:
+        raise ValueError("f(x) must be positive")
     efhat = expected_estimator(density, basis, j, x)
     lhs = math.sqrt(n * h / (2.0 * fx * log_term)) * (fhat - efhat)
     pk = ProjectionKernel(basis, d)

@@ -17,6 +17,9 @@ from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError
 from .sampling import _as_point, _check_dimension, _check_level, _grid_points
 
+_MAX_SHIFT = 2.0 ** 62  # |2^j x| bound that keeps the int64 shift arithmetic exact
+_MAX_SMOOTH_SHIFT = 2.0 ** 52  # below it every shift and y - shift is an exact float
+
 
 @dataclass(frozen=True)
 class ProjectionKernel:
@@ -47,15 +50,31 @@ def _kernel1(sf: ScalingFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batches(pk: ProjectionKernel, x, y) -> tuple:
+def _check_reach(basis: ScalingFunction, j: int, bounds, what: str) -> None:
+    """fit's and kernel_Kj_batch's rule: |2^j x| < 2^62 for Haar, whose shift
+    is the int64 floor(2^j x), and < 2^52 for a smooth basis, past which a
+    factor phi(2^j x - k) is taken at a rounded argument.  bounds: (min, max)
+    pairs, scaled in Python floats, which overflow to inf without a warning."""
+    haar = basis.interp == "left"
+    if not max(max(-float(a), float(b)) for a, b in bounds) * 2.0 ** j < (
+            _MAX_SHIFT if haar else _MAX_SMOOTH_SHIFT):
+        raise ConfigurationError(f"{what} reaches |2^j x| >= 2^{62 if haar else 52} "
+                                 f"at level j={j}")
+
+
+def _batches(pk: ProjectionKernel, x, y, j: int | None = None) -> tuple:
     """x and y as float batches of points (..., d), d the kernel's dimension;
-    another last axis or a NaN or infinite entry raises ConfigurationError."""
+    another last axis, a NaN or infinite entry, or with a level j an entry
+    past `_check_reach`, raises ConfigurationError."""
     x, y = np.asarray(x, float), np.asarray(y, float)
     if x.shape[-1:] != (pk.dimension,) or y.shape[-1:] != (pk.dimension,):
         raise ConfigurationError(f"points must have shape (..., d) with d = "
                                  f"{pk.dimension}, got {x.shape} and {y.shape}")
-    if not all(v.size == 0 or -np.inf < v.min() <= v.max() < np.inf for v in (x, y)):
+    bounds = [(v.min(), v.max()) for v in (x, y) if v.size]
+    if not all(-np.inf < a <= b < np.inf for a, b in bounds):
         raise ConfigurationError("points must be finite")  # NaN fails the test too
+    if j is not None and bounds:
+        _check_reach(pk.basis, j, bounds, "a point")
     return x, y
 
 
@@ -69,7 +88,7 @@ def kernel_K_batch(pk: ProjectionKernel, x, y) -> np.ndarray:
 def kernel_Kj_batch(pk: ProjectionKernel, j: int, x, y) -> np.ndarray:
     """K_j(x, y) = 2^(dj) K(2^j x, 2^j y) over batches of points (..., d)."""
     j = _check_level(j, pk.dimension)
-    x, y = _batches(pk, x, y)
+    x, y = _batches(pk, x, y, j)
     scale = 2.0 ** j
     return 2.0 ** (pk.dimension * j) * kernel_K_batch(pk, scale * x, scale * y)
 
@@ -142,7 +161,9 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
     """Sample Ktilde_{j,x}(s) = K(2^j x, 2^j x + s) over [-W, W]^d.
 
     The grid step must divide 2W so that cells tile the domain box
-    (cell alignment keeps Haar discontinuities on grid lines).
+    (cell alignment keeps Haar discontinuities on grid lines), and the
+    lattice z + s must resolve it: 2^j max|x_i| + W < 2^53 step, past which
+    the floats near z are spaced wider than the step.
     """
     d = pk.dimension
     j = _check_level(j, d)
@@ -150,6 +171,10 @@ def localize(pk: ProjectionKernel, j: int, x, grid_step: float) -> LocalizedKern
     if not np.all(np.isfinite(x)):
         raise ConfigurationError(f"center must be finite, got {x.tolist()}")
     axes = _corner_axes(pk.basis.width, grid_step, d)
+    # in Python floats, which overflow to inf quietly
+    if not float(np.max(np.abs(x))) * 2.0 ** j + pk.basis.width < 2.0 ** 53 * grid_step:
+        raise ConfigurationError(f"the lattice 2^j x + s cannot resolve step {grid_step!r} "
+                                 f"at level j={j}: needs 2^j max|x_i| + W < 2^53 step")
     z = (2.0 ** j) * x
     # K factors over coordinates: the outer product of the d 1-D sections has
     # the bits of kernel_K_batch on the full lattice, for the cost of d sections

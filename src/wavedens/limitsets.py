@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._threads import thread_count
-from .errors import NumericalError
+from .errors import ConfigurationError, NumericalError
 from .increments import from_cell_density, theta
 from .kernel import LocalizedKernel
 from .sampling import _is_real
@@ -210,6 +210,9 @@ def _gamma_endpoint(lk: LocalizedKernel, box: tuple, kmax: float,
             return 0.0, 0.0, gd
 
     lo_eta, hi_eta = 1e-12, 1.0
+    if cost(lo_eta) < budget:  # cost falls with eta: no eta meets the budget
+        raise ConfigurationError(f"v must be at least {_div(1.0, cost(lo_eta)):.17g} for this "
+                                 f"kernel, the smallest v the Gamma_v dual resolves")
     while cost(hi_eta) > budget and hi_eta < 1e18:
         hi_eta *= 4.0
     if cost(hi_eta) > budget:

@@ -304,6 +304,42 @@ def test_kernel_batches_reject_non_finite_entries(call, bad):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family,x,j,bound", [("db4", 0.3, 60, 52), ("haar", 1e306, 10, 62),
+                                              ("haar", 1.5, 62, 62)])
+def test_kernel_batches_take_the_reach_rule_of_fit(family, x, j, bound):
+    # db4 at j = 60 returned [0.] where fit raised; Haar at 1e306 warned of
+    # an overflow in the scaling, then raised "points must be finite"
+    basis = build_family(family)
+    match = rf"2\^{bound} at level j={j}"
+    with pytest.raises(ConfigurationError, match=match):
+        fit(basis, j, [x])
+    with pytest.raises(ConfigurationError, match=match):
+        kernel_Kj_batch(ProjectionKernel(basis, 1), j, [[0.5]], [[x]])
+    with pytest.raises(ConfigurationError, match=match):
+        evaluate_kernel_form(basis, j, [x], 0.5)
+    with pytest.raises(ConfigurationError, match=match):
+        relation_check([0.5], make_density("uniform01", 1), x, j, basis)
+
+
+def test_kernel_Kj_batch_takes_what_fit_takes_at_the_reach_bound():
+    # the far end of the rule: fit's table and the kernel agree there
+    basis, j = build_family("db4"), 60
+    for y in (2.0 ** 52 - 1, 1 - 2.0 ** 52):
+        x = y / 2.0 ** j
+        kj = kernel_Kj_batch(ProjectionKernel(basis, 1), j, [x], [x])
+        assert kj > 0.0 and math.isclose(kj, evaluate(fit(basis, j, [x]), x), rel_tol=1e-12)
+
+
+def test_relation_check_requires_a_positive_density_at_x():
+    # relation_check raised ZeroDivisionError where g_n_x raises this
+    den = make_density("uniform01", 1)
+    with pytest.raises(ValueError, match=r"f\(x\) must be positive"):
+        g_n_x([0.5, 0.7], den, 1.5, 2)
+    with pytest.raises(ValueError, match=r"f\(x\) must be positive"):
+        relation_check([0.5, 0.7], den, 1.5, 2, HAAR)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_kernel_form_rejects_a_non_finite_point(bad):
     # Haar at NaN used to return 0.0; D4 at inf warned "invalid value in

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -166,3 +167,24 @@ def test_localize_equals_kernel_batch(family, d):
         z = 2.0 ** j * x
         batch = kernel_K_batch(pk, z, z + _grid_points(lk.axes))
         assert np.array_equal(lk.values, batch.reshape(lk.values.shape))
+
+
+@pytest.mark.parametrize("step,last", [(2.0 ** -10, 44), (2.0 ** -6, 48)])
+def test_localize_raises_where_its_lattice_cannot_resolve_the_step(step, last):
+    # at x = 0.3 the Haar section left the exact K(frac(2^j x), frac(2^j x) + s)
+    # from the first level where 2^j x passes 2^53 step; at j = 60 it gave
+    # sigma = sqrt 2 and integral 2.0, and db4's section was all 0
+    pk = ProjectionKernel(build_family("haar"), 1)
+    for j in range(1, last + 1):
+        lk = localize(pk, j, 0.3, step)
+        y = Fraction(0.3) * 2 ** j
+        frac = float(y - math.floor(y))
+        exact = kernel_K_batch(pk, [frac], (frac + lk.axes[0])[:, None])
+        assert np.array_equal(lk.values, exact) and lk.integral() == 1.0
+    for family in ("haar", "db4"):
+        for j in (last + 1, 60):
+            with pytest.raises(ConfigurationError, match="cannot resolve step"):
+                localize(ProjectionKernel(build_family(family), 1), j, 0.3, step)
+        # the largest |x_i| sets the bound
+        with pytest.raises(ConfigurationError, match="cannot resolve step"):
+            localize(ProjectionKernel(build_family(family), 2), last + 1, [0.0, -0.3], step)

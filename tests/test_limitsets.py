@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -12,7 +13,7 @@ from scipy.optimize import brentq
 
 from wavedens import limitsets
 from wavedens.basis import build_family
-from wavedens.errors import NumericalError
+from wavedens.errors import ConfigurationError, NumericalError
 from wavedens.kernel import ProjectionKernel, localize
 from wavedens.limitsets import (_brentq, gamma_interval, h_poisson,
                                 strassen_extremal, theorem2_threshold)
@@ -126,6 +127,20 @@ def test_gamma_rejects_nonpositive_v():
         with pytest.raises(ValueError, match="v must be positive"):
             gamma_interval(_haar_lk(), v)
     assert gamma_interval(_haar_lk(), np.float64(2.0)).hi == gamma_interval(_haar_lk(), 2.0).hi
+
+
+@pytest.mark.parametrize("family", ["haar", "db4"])
+def test_gamma_rejects_a_v_below_what_its_dual_resolves(family):
+    # raised NumericalError from the root finder: "f(a) and f(b) must have
+    # different signs"
+    lk = localize(ProjectionKernel(build_family(family), 1), 0, np.zeros(1), 0.0625)
+    with pytest.raises(ConfigurationError, match="v must be at least") as info:
+        gamma_interval(lk, 1e-300)
+    smallest = float(re.search(r"at least (\S+)", str(info.value)).group(1))
+    # 1 / the cost at eta = 1e-12, the most the clipped dual reaches
+    assert smallest == 1.0 / lk._costs[1.0, 1e-12]
+    with pytest.raises(ConfigurationError, match="v must be at least"):
+        gamma_interval(lk, smallest / 2.0)
 
 
 @pytest.mark.parametrize("c", [0.0, math.nan, math.inf, True])

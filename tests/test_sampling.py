@@ -89,8 +89,8 @@ def _box_prob_grid_one_cdf_per_value(den, lo_axes, hi):
 
 @pytest.mark.parametrize("name", DENSITIES)
 def test_box_prob_grid_keeps_the_bits_of_a_cdf_call_per_value(name):
-    # hi[i] now rides in the axis's cdf call; _ndtr's masks and numpy's SIMD
-    # loops see other array lengths, and the values must not move
+    # hi[i] now rides in the axis's cdf call; numpy's SIMD loops see other
+    # array lengths, and the values must not move
     rng = np.random.default_rng(7)
     for d in (1, 2):
         den = make_density(name, d)
@@ -274,14 +274,14 @@ def _normal_points():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ndtr_matches_scipy_ndtr():
-    # _ndtr ports the Cephes ndtr that scipy wraps; only exp differs
+    # _ndtr takes erfc from the C library, scipy's ndtr is Cephes'
     from scipy.special import ndtr
     t = _normal_points()
     assert np.max(np.abs(_ndtr(t) - ndtr(t)) / ndtr(t)) <= 1e-13
-    # the exp(-w^2) R(w) / S(w) tail from w = 8, to where Phi is subnormal
+    # the tail from |t| / sqrt 2 = 8, to where Phi is subnormal
     t = -np.linspace(8.0 * math.sqrt(2.0), 37.0, 20001)
     assert np.max(np.abs(_ndtr(t) - ndtr(t)) / ndtr(t)) <= 1e-13
-    # and against the C library's erfc, an independent approximation
+    # and against the C library's erfc at -t / sqrt 2, without the reflection
     t = _normal_points()[::7]
     ref = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in t])
     assert np.max(np.abs(_ndtr(t) - ref) / ref) <= 1e-13
