@@ -22,6 +22,7 @@ from .sampling import (Density, _as_point, _as_points, _as_sample, _check_level,
 
 GRID_CAP = 4096
 _QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
+_BLOCK_ROWS = 1 << 16  # sample rows per block of the Haar count, at least
 _MAX_TABLE_CELLS = 1 << 28  # largest coefficient box fit allocates (2 GiB)
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1
 _MAX_NODE = 2 ** 52  # i + 1/2 is an exact float for integers 0 <= i < 2^52
@@ -62,7 +63,11 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
 
     Raises ConfigurationError for an empty or non-finite sample
     (`_as_sample`) and for one past the reach rule (`kernel._check_reach`),
-    and ValueError for one whose k-box would exceed _MAX_TABLE_CELLS cells."""
+    and ValueError for one whose k-box would exceed _MAX_TABLE_CELLS cells.
+
+    Haar counts the sample in blocks of max(_BLOCK_ROWS, cells) rows, cells
+    the size of the k-box: its scratch memory is one block's indices, not
+    the sample's, and the table keeps the bits of one count of the whole."""
     sample, lo, hi = _as_sample(sample)
     n, d = sample.shape
     j = _check_level(j, d)
@@ -85,11 +90,27 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
         # Haar: phi(2^j x - k) is 1 at the one shift k = floor(2^j x), so the
         # table counts points per cell.  np.bincount sums integers, exact in
         # any order, and gives the np.add.at table bit for bit.  Scaling by
-        # 2^j is exact, so origin and shape bound these floors.
-        k = np.floor(sample * scale, out=np.empty(sample.shape, np.int64),
-                     casting="unsafe")
-        k -= origin  # in place; at d = 1 the flat index is a view of k
-        counts = np.bincount(_flat_base(k.T, shape)[0], minlength=math.prod(shape))
+        # 2^j is exact, so origin and shape bound these floors.  Each block's
+        # floors go in one int64 buffer, and the first block's counts are the
+        # accumulator: a fit of one block allocates no second table.
+        size = math.prod(shape)
+        rows = max(_BLOCK_ROWS, size)
+        buf = np.empty((min(n, rows), d), np.int64)
+        negative = lo.min() < 0.0
+        for a in range(0, n, rows):
+            block = sample[a:a + rows]
+            # The cast rounds y = 2^j x toward 0: the floor, unless y is a
+            # negative non-integer, where y < k.  float(k) is exact, as
+            # |y| < 2^53 or y is an integer, so that test is exact too.
+            k = np.multiply(block, scale, out=buf[:len(block)], casting="unsafe")
+            if negative:
+                k -= block * scale < k
+            k -= origin  # in place; at d = 1 the flat index is a view of k
+            part = np.bincount(_flat_base(k.T, shape)[0], minlength=size)
+            if a:
+                counts += part
+            else:
+                counts = part
         table = (counts * factor).reshape(shape)
     else:
         # Smooth bases: the transpose of _apply, on the same plan, with the

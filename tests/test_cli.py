@@ -84,6 +84,8 @@ def test_increments_gnx(tmp_path):
     ["increments", "--kind", "gtilde", "--density", "uniform01", "--level", "3",
      "--n", "50", "--c", "nan", "--step", "0.0625"],
     ["limitsets", "--family", "haar", "--v", "nan", "--step", "0.0625"],
+    # exited 0 and wrote "v": Infinity, which is not JSON
+    ["limitsets", "--family", "haar", "--v", "inf", "--step", "0.0625"],
 ])
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--emit", str(tmp_path / "out.csv")]) == 2

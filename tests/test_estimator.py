@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -489,6 +490,74 @@ def test_fit_checks_the_bounds_before_scaling():
     for sample in ([1e307], [-1e307], [[0.5, 1e307]], [0.5, 1e308]):
         with pytest.raises(ValueError, match=r"2\^62 at level j=10"):
             fit(basis, 10, np.array(sample))
+
+
+def _one_bincount_fit(sample, j):
+    """(origin, table, cells): Haar fit's origin and table as one np.bincount
+    of floor(2^j x) - origin over the whole sample, and the table's size."""
+    n, d = sample.shape
+    k = np.floor(sample * 2.0 ** j).astype(np.int64)
+    origin = k.min(axis=0)
+    shape = tuple(int(s) for s in k.max(axis=0) - origin + 1)
+    cells = math.prod(shape)
+    counts = np.bincount(np.ravel_multi_index((k - origin).T, shape), minlength=cells)
+    return origin, (counts * (2.0 ** (d * j / 2.0) / n)).reshape(shape), cells
+
+
+def _haar_sample(rng, n, d, j, lo=-0.75, hi=1.25):
+    """n points in (lo, hi)^d, some of them on the level-j lattice (negative
+    integers after scaling among them) and some just below 0."""
+    sample = rng.uniform(lo, hi, (n, d))
+    sample[::3] = np.round(sample[::3] * 2.0 ** j) / 2.0 ** j
+    sample[1::4] = -2.0 ** -60
+    return sample
+
+
+def test_haar_fit_counts_across_block_boundaries(monkeypatch):
+    # blocks of max(4, cells) rows: where the cells are fewer than the
+    # points a fit runs several blocks, the last one often short; where
+    # they are more one block holds the sample
+    monkeypatch.setattr(estimator, "_BLOCK_ROWS", 4)
+    haar = build_family("haar")
+    rng = np.random.default_rng(2026)
+    for d in (1, 2, 3):
+        seen = set()
+        for n, j, span in itertools.product((1, 3, 4, 5, 17), (0, 1, 3),
+                                            ((-0.75, 1.25), (-0.25, 0.25))):
+            sample = _haar_sample(rng, n, d, j, *span)
+            origin, table, cells = _one_bincount_fit(sample, j)
+            seen.add(cells < n)
+            est = fit(haar, j, sample)
+            assert np.array_equal(est.origin, origin)
+            assert np.array_equal(est.table, table)
+        assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+def test_haar_fit_counts_across_the_real_block_boundary(n):
+    haar = build_family("haar")
+    rng = np.random.default_rng(n)
+    for d, j in ((1, 10), (2, 4)):
+        sample = _haar_sample(rng, n, d, j)
+        origin, table, cells = _one_bincount_fit(sample, j)
+        assert cells < estimator._BLOCK_ROWS
+        est = fit(haar, j, sample)
+        assert np.array_equal(est.origin, origin)
+        assert np.array_equal(est.table, table)
+
+
+def test_haar_fit_holds_no_sample_sized_temporary():
+    # the one-shot count held 2^j x and its int64 floor, twice the sample
+    sample = np.random.default_rng(5).random((2 ** 18, 1))
+    haar = build_family("haar")
+    fit(haar, 10, sample[:10])  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        fit(haar, 10, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sample.nbytes // 2
 
 
 def _per_offset_shift_loop(sf, j, sample, points):

@@ -122,11 +122,27 @@ def test_gamma_certificates_feasible():
 def test_gamma_rejects_nonpositive_v():
     with pytest.raises(ValueError):
         gamma_interval(_haar_lk(), 0.0)
-    # NaN passed a v <= 0 check and failed inside brentq; True solved Gamma_1
-    for v in (math.nan, True):
-        with pytest.raises(ValueError, match="v must be positive"):
+    # NaN passed a v <= 0 check and failed inside brentq; True solved Gamma_1;
+    # inf returned [0.9999999963, 1.0000000037], where Gamma_inf = {gdot = 1}
+    # has the image {1}
+    for v in (math.nan, True, math.inf):
+        with pytest.raises(ValueError, match="v must be positive and finite"):
             gamma_interval(_haar_lk(), v)
     assert gamma_interval(_haar_lk(), np.float64(2.0)).hi == gamma_interval(_haar_lk(), 2.0).hi
+
+
+def test_gamma_certificate_is_checked_relative_to_the_budget():
+    # the check |cost - 1/v| <= 1e-9 was absolute, so from budgets of a few
+    # million the rounding of a correct root failed it: NumericalError at
+    # v = 3e-7, 1e-7, 5e-8, 1e-12 and 1e-200, but not at 2e-7 or 1e-6
+    lk = _haar_lk()
+    his = []
+    for v in (1e-6, 3e-7, 2e-7, 1e-7, 5e-8, 1e-12, 1e-200):
+        iv = gamma_interval(lk, v)
+        cost = float(np.sum(h_poisson(iv.certificate["gdot_hi"])) * lk.cell_volume)
+        assert abs(cost * v - 1.0) < 1e-11
+        his.append(iv.hi)
+    assert all(a < b for a, b in zip(his, his[1:]))
 
 
 @pytest.mark.parametrize("family", ["haar", "db4"])
