@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -47,13 +48,15 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    side = os.path.splitext(args.emit)[0] + ".json"  # limitsets' side file, same rule
+    if side == args.emit:
+        raise ConfigurationError(f"--emit {args.emit!r} is also the path of its JSON side file")
     pk = ProjectionKernel(build_family(args.family), args.dim)
     center = np.asarray([float(v) for v in args.center.split(",")])
     lk = localize(pk, args.level, center, args.step)
     _write_table(args.emit, "s", cell_lower_corners(lk), ["ktilde"],
                  lk.cell_values().ravel())
-    _write_json(args.emit.rsplit(".", 1)[0] + ".json",
-                {"sigma": lk.sigma, "tv": lk.tv, "integral": lk.integral()})
+    _write_json(side, {"sigma": lk.sigma, "tv": lk.tv, "integral": lk.integral()})
     return 0
 
 
@@ -88,7 +91,7 @@ def _cmd_limitsets(args) -> int:
     pk = ProjectionKernel(build_family(args.family), args.dim)
     lk = localize(pk, 0, np.zeros(args.dim), args.step)
     iv = gamma_interval(lk, args.v)
-    grid_csv = args.emit.rsplit(".", 1)[0] + "_grid.csv"
+    grid_csv = os.path.splitext(args.emit)[0] + "_grid.csv"  # never args.emit
     _write_table(grid_csv, "s", cell_lower_corners(lk), ["ktilde", "gdot_lo", "gdot_hi"],
                  lk.cell_values().ravel(), iv.certificate["gdot_lo"].ravel(),
                  iv.certificate["gdot_hi"].ravel())

@@ -194,18 +194,16 @@ def _apply(plan: tuple, origin: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sum_k table[k - origin] prod_i phi(2^j x_i - k_i) at the points of a
     `_plan`; the table is 0 outside its box.  Each product is formed in axis
     order and the offsets are summed in ascending order, last axis fastest,
-    as fit's scatter visits them.  When every shift of the plan lies inside
-    the table box, the mask of shifts inside it is all ones and is skipped:
-    a product times 1.0 is the product."""
+    as fit's scatter visits them.  Each axis factor is multiplied by 1.0 or
+    0.0 as its shift lies inside the box: a shift outside adds +-0 to a sum
+    that starts at +0.0, which changes no bit."""
     first, factors = plan
     w, d, shape = len(factors[0]), len(first), table.shape
-    ks = [f - o for f, o in zip(first, origin)]  # table index of the first shift
-    covered = all(k.size == 0 or (k.min() >= 0 and k.max() + w <= m)
-                  for k, m in zip(ks, shape))
-    if not covered:
-        # a first shift outside [-w, shape] leaves all w shifts outside, as
-        # the clipped one does; the flat index stays small
-        ks = [np.clip(k, -w, m) for k, m in zip(ks, shape)]
+    # the table index of the first shift; one outside [-w, shape] leaves all
+    # w shifts outside, as the clipped one does, and the flat index stays small
+    ks = [np.clip(f - o, -w, m) for f, o, m in zip(first, origin, shape)]
+    factors = [[f * ((k >= -s) & (k < m - s)) for s, f in enumerate(fs)]
+               for fs, k, m in zip(factors, ks, shape)]
     base, strides = _flat_base(ks, shape)
     flat = table.ravel()
     out = np.zeros(len(base))
@@ -213,11 +211,7 @@ def _apply(plan: tuple, origin: np.ndarray, table: np.ndarray) -> np.ndarray:
         vals = factors[0][offset[0]]
         for i in range(1, d):
             vals = vals * factors[i][offset[i]]
-        term = flat.take(base + int(np.dot(offset, strides)), mode="clip") * vals
-        if not covered:
-            term *= np.all([(k >= -o) & (k < m - o)
-                            for k, o, m in zip(ks, offset, shape)], axis=0)
-        out += term
+        out += flat.take(base + int(np.dot(offset, strides)), mode="clip") * vals
     return out
 
 
@@ -382,12 +376,10 @@ def make_grid(box, j: int) -> EvaluationGrid:
         count = m1 - m0 + 1
         if count < 1:
             raise ConfigurationError("no dyadic points in H at this level")
-        if count > GRID_CAP:  # every stride-th point, stride = ceil(count / GRID_CAP)
-            ms, den = range(m0, m1 + 1, -(-count // GRID_CAP)), 1 << j
-        elif 2 * count - 1 <= GRID_CAP:  # with the cell midpoints (2m + 1) / 2^(j+1)
+        if 2 * count - 1 <= GRID_CAP:  # with the cell midpoints (2m + 1) / 2^(j+1)
             ms, den = range(2 * m0, 2 * m1 + 1), 2 << j
-        else:
-            ms, den = range(m0, m1 + 1), 1 << j
+        else:  # every stride-th point, stride = ceil(count / GRID_CAP), 1 up to the cap
+            ms, den = range(m0, m1 + 1, -(-count // GRID_CAP)), 1 << j
         axes.append((ms, den))
     size = math.prod(len(ms) for ms, _ in axes)
     if size > GRID_CAP ** 2:
@@ -424,10 +416,11 @@ def sup_deviation(est: WaveletDensityEstimator, density: Density,
         raise ConfigurationError(f"expected has shape {np.shape(expected)}, not ({len(grid)},)")
     fhat = evaluate(est, grid)
     f = grid._pdfs.get(density)
-    if f is None:
-        f = grid._pdfs[density] = np.asarray(density.pdf(grid.points), float)
-    if np.any(f <= 0.0):
-        raise ValueError("density must be strictly positive on the grid")
+    if f is None:  # checked as it is memoized; a non-positive f is never kept
+        f = np.asarray(density.pdf(grid.points), float)
+        if np.any(f <= 0.0):
+            raise ValueError("density must be strictly positive on the grid")
+        grid._pdfs[density] = f
     d, j, n = est.dimension, est.level, est.n
     if mode == "theorem1":
         j = _check_level(j, d, lowest=1)
@@ -440,4 +433,4 @@ def sup_deviation(est: WaveletDensityEstimator, density: Density,
     else:
         raise ConfigurationError(f"unknown sup_deviation mode {mode!r}")
     hi = int(np.argmax(dev))
-    return SupStatistic(float(dev.max()), float(dev.min()), grid.points[hi].copy())
+    return SupStatistic(float(dev[hi]), float(dev.min()), grid.points[hi].copy())

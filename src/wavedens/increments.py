@@ -18,9 +18,9 @@ import numpy as np
 
 from .basis import ScalingFunction
 from .errors import ConfigurationError
-from .estimator import _flat_base, evaluate_kernel_form, expected_estimator
+from .estimator import _flat_base, expected_estimator
 from .kernel import (LocalizedKernel, ProjectionKernel, _box_diff, _box_sum,
-                     _corner_axes, kernel_K_batch)
+                     _corner_axes, kernel_Kj_batch)
 from .sampling import Density, _as_point, _as_sample, _check_level, _is_real
 
 DEFAULT_GRID_STEP = 2.0 ** -10
@@ -141,9 +141,10 @@ def relation_check(sample, density: Density, x, j: int, basis: ScalingFunction) 
     """Residual of the pipeline identity tying the normalized estimator
     deviation to the Stieltjes integral of the increment function.
 
-    Both sides are evaluated exactly: the left through the kernel form of
-    fhat, the right through the atom representation of the increment
-    measure, with a shared quadrature for the expectation term.  The
+    Both sides come exactly from one kernel pass S = sum_i K_j(x, X_i): the
+    left through the kernel form fhat = S / n, the right through the atoms
+    of the increment measure, sum_i Ktilde = S h (h = 2^(-dj) scales
+    exactly), with a shared quadrature for the expectation term.  The
     identity holds for the unnormalized functional (no 1/sigma): the
     sigma-normalized variant fails by the factor sigma for bases with
     K(0,0) != 1, e.g. D4.
@@ -154,15 +155,12 @@ def relation_check(sample, density: Density, x, j: int, basis: ScalingFunction) 
     x = _as_point(x, d)
     h = 2.0 ** (-d * j)
     log_term = math.log(1.0 / h)
-    fhat = evaluate_kernel_form(basis, j, sample, x)  # raises at a non-finite x
+    ksum = kernel_Kj_batch(ProjectionKernel(basis, d), j, x, sample).sum()  # x must be finite
     fx = density.pdf(x)
     if fx <= 0.0:
         raise ValueError("f(x) must be positive")
     efhat = expected_estimator(density, basis, j, x)
-    lhs = math.sqrt(n * h / (2.0 * fx * log_term)) * (fhat - efhat)
-    pk = ProjectionKernel(basis, d)
-    z = (2.0 ** j) * x
-    ktilde_at_atoms = kernel_K_batch(pk, z, (2.0 ** j) * sample)
-    rhs = (ktilde_at_atoms.sum() / math.sqrt(n) - math.sqrt(n) * h * efhat) \
+    lhs = math.sqrt(n * h / (2.0 * fx * log_term)) * (float(ksum / n) - efhat)
+    rhs = (ksum * h / math.sqrt(n) - math.sqrt(n) * h * efhat) \
         / math.sqrt(2.0 * fx * h * log_term)
     return abs(lhs - rhs)

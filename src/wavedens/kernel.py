@@ -89,8 +89,8 @@ def kernel_Kj_batch(pk: ProjectionKernel, j: int, x, y) -> np.ndarray:
     """K_j(x, y) = 2^(dj) K(2^j x, 2^j y) over batches of points (..., d)."""
     j = _check_level(j, pk.dimension)
     x, y = _batches(pk, x, y, j)
-    scale = 2.0 ** j
-    return 2.0 ** (pk.dimension * j) * kernel_K_batch(pk, scale * x, scale * y)
+    scale = 2.0 ** j  # the scaled points pass _batches too: |2^j x| < 2^62
+    return 2.0 ** (pk.dimension * j) * np.prod(_kernel1(pk.basis, scale * x, scale * y), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

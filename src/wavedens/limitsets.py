@@ -236,13 +236,19 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
     zero cost in both endpoints, so the result does not depend on the
     domain box padding.  With WAVEDENS_THREADS > 1 the upper endpoint is
     solved in a worker thread while the lower one runs here (exp and log
-    release the GIL); the results are the same bits either way.
+    release the GIL); the results are the same bits either way.  A v too
+    small or too large for the dual to resolve raises ConfigurationError.
     """
     if not (_is_real(v) and 0.0 < v < math.inf):  # NaN too
         raise ValueError(f"v must be positive and finite, got {v!r}")
     kv = lk.cell_values()
     budget = 1.0 / v
     box = _nonzero_box(kv)
+    # h rounds by about 2^-52 a cell near gdot = 1: a budget 1/v below 1e3 times that is lost
+    most = _div(2.0 ** 52 / 1e3, math.prod(s.stop - s.start for s in box) * lk.cell_volume)
+    if v > most:
+        raise ConfigurationError(f"v must be at most {most:.17g} for this kernel, the largest "
+                                 "v the Gamma_v dual resolves")
     kmax = float(np.max(np.abs(kv[box]), initial=0.0))
 
     def endpoint(sign):

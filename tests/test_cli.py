@@ -348,3 +348,27 @@ def _fuzzed_configs(draw):
 def test_fuzzed_configs_validate_to_0_or_2(tmp_path, data):
     cfg = _write_cfg(tmp_path, data)
     assert main(["validate", "--config", cfg]) in (0, 2)
+
+
+def test_side_files_replace_only_the_extension_of_emit(tmp_path, monkeypatch, capsys):
+    # the side file's path was cut at the last dot anywhere in --emit:
+    # kernel --emit runs.v2/k wrote ./runs.json, limitsets --emit runs.v2/iv
+    # wrote ./runs_grid.csv and named it in its JSON, and kernel --emit k.json
+    # overwrote its own table with the side file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    kernel = ["kernel", "--family", "haar", "--step", "0.0625", "--emit"]
+    assert main(kernel + ["runs.v2/k"]) == 0
+    assert main(kernel + ["runs.v2/k.csv"]) == 0
+    assert main(["limitsets", "--family", "haar", "--v", "1.0", "--step", "0.0625",
+                 "--emit", "runs.v2/iv"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.v2"]
+    assert sorted(p.name for p in (tmp_path / "runs.v2").iterdir()) == [
+        "iv", "iv_grid.csv", "k", "k.csv", "k.json"]
+    payload = json.loads((tmp_path / "runs.v2" / "iv").read_text())
+    assert payload["certificate_grid_csv"] == "runs.v2/iv_grid.csv"
+    assert json.loads((tmp_path / "runs.v2" / "k.json").read_text())["sigma"] == 1.0
+    # a side file that is --emit itself is refused before anything is written
+    assert main(kernel + ["k.json"]) == 2
+    assert "side file" in capsys.readouterr().err
+    assert not (tmp_path / "k.json").exists()

@@ -749,3 +749,34 @@ def test_objects_that_hold_arrays_compare_by_identity():
     for make in makers:
         a, b = make(), make()
         assert a == a and a != b and len({a, b, a}) == 2, type(a).__name__
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+def test_evaluate_keeps_its_bits_on_a_zero_padded_table(family, d):
+    # _apply gathers every shift through one path, each axis factor times
+    # 1.0 or 0.0 as its shift lies inside the table box.  A table padded
+    # with w zero cells a side, its origin moved by w, holds the same
+    # alpha_hat with every shift of these points inside, so both give the
+    # same bits inside, at the edge of and outside the box, and so does
+    # the negated table, whose masked terms are -0
+    basis = build_family(family)
+    w, j = basis.width, 3
+    rng = np.random.default_rng(7 * d + w)
+    est = fit(basis, j, rng.uniform(0.3, 0.6, (150, d)))
+    # per axis, coordinates at and next to the edges of the shifts' reach
+    edges = [np.array([o + s for s in (-w, -1, 0, 1, w - 1, w)]
+                      + [o + m - 1 + s for s in (-1, 0, 1, w - 1, w, w + 1)], float) / 2 ** j
+             for o, m in zip(est.origin, est.table.shape)]
+    edges = [np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
+             for e in edges]
+    lo, hi = est.origin / 2 ** j, (est.origin + est.table.shape + w) / 2 ** j
+    point_sets = [rng.uniform(lo, hi, (60, d)),
+                  np.stack([rng.choice(e, 200) for e in edges], axis=1),
+                  rng.uniform(lo - 2.0, hi + 2.0, (200, d))]
+    for table in (est.table, -est.table):
+        a = estimator.WaveletDensityEstimator(basis, j, est.n, d, est.origin, table)
+        b = estimator.WaveletDensityEstimator(basis, j, est.n, d, est.origin - w,
+                                              np.pad(table, w))
+        for pts in point_sets:
+            assert evaluate(a, pts).tobytes() == evaluate(b, pts).tobytes()

@@ -188,3 +188,19 @@ def test_localize_raises_where_its_lattice_cannot_resolve_the_step(step, last):
         # the largest |x_i| sets the bound
         with pytest.raises(ConfigurationError, match="cannot resolve step"):
             localize(ProjectionKernel(build_family(family), 2), last + 1, [0.0, -0.3], step)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+def test_kernel_Kj_sum_scales_to_the_kernel_sum_bit_for_bit(family, d):
+    # relation_check takes sum_i K(2^j x, 2^j X_i) as 2^(-dj) sum_i K_j(x, X_i)
+    # from one kernel pass: K_j = 2^(dj) K, and a power-of-two scale commutes
+    # with every rounding of the pairwise sum
+    pk = ProjectionKernel(build_family(family), d)
+    rng = np.random.default_rng(11 * d + pk.basis.width)
+    for _ in range(25):
+        j, n = int(rng.integers(0, 9)), int(rng.integers(1, 700))
+        x = rng.uniform(-1.0, 2.0, d)
+        y = x + rng.uniform(-4.0, 4.0, (n, d)) * 2.0 ** -j
+        kj = kernel_Kj_batch(pk, j, x, y).sum() * 2.0 ** (-d * j)
+        assert kj.tobytes() == kernel_K_batch(pk, 2.0 ** j * x, 2.0 ** j * y).sum().tobytes()

@@ -475,3 +475,28 @@ def test_brentq_failures_raise_numerical_error(f, maxiter, match):
         brentq(f, 0.0, 2.0, xtol=1e-300, rtol=8.9e-16, maxiter=maxiter)
     with pytest.raises(NumericalError, match=match):
         _brentq(f, 0.0, 2.0, 1e-300, 8.9e-16, maxiter)
+
+
+def test_gamma_rejects_a_v_above_what_its_dual_resolves():
+    # h rounds by about 2^-52 a cell near gdot = 1, and the certificate's
+    # tolerance is absolute for budgets below 1, so large v went unnoticed:
+    # on this section hi - 1 was 25% low at v = 1e16 and 7.5 times the closed
+    # form at 1e18, every endpoint at 1 +- 1.05e-8, and no error was raised
+    lk = _haar_lk()
+    for v in (1e16, 1e18, 1e300):
+        with pytest.raises(ConfigurationError, match="v must be at most") as info:
+            gamma_interval(lk, v)
+    largest = float(re.search(r"at most (\S+)", str(info.value)).group(1))
+    assert 4e12 < largest < 5e12
+    with pytest.raises(ConfigurationError, match="v must be at most"):
+        gamma_interval(lk, math.nextafter(largest, math.inf))
+    # Ktilde is 1 on mass 1, so each endpoint t solves h(t) = 1/v in closed
+    # form; (1 + u) log1p(u) - u keeps h's leading u^2 / 2 near t = 1
+    iv = gamma_interval(lk, largest)
+    for t, side in ((iv.hi, 1.0), (iv.lo, -1.0)):
+        a, b = 0.0, 1e-3
+        for _ in range(200):
+            e = 0.5 * (a + b)
+            u = side * e
+            a, b = (a, e) if (1.0 + u) * math.log1p(u) - u > 1.0 / largest else (e, b)
+        assert abs(side * (t - 1.0) / e - 1.0) < 1e-4
