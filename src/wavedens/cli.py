@@ -178,8 +178,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigurationError, NumericalError, OSError, ValueError,
-            KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, NumericalError, OSError, KeyError) as exc:  # ConfigurationError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,14 +16,13 @@ import numpy as np
 
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError, NumericalError
-from .kernel import _MAX_SHIFT, ProjectionKernel, _check_reach, kernel_Kj_batch
+from .kernel import _MAX_SHIFT, _MAX_TABLE_CELLS, ProjectionKernel, _check_reach, kernel_Kj_batch
 from .sampling import (Density, _as_point, _as_points, _as_sample, _check_level,
                        _grid_points)
 
 GRID_CAP = 4096
 _QUADRATURE_CHUNK = 1 << 16  # nodes per block of E fhat quadrature rows
 _BLOCK_ROWS = 1 << 16  # sample rows per block of the Haar count, at least
-_MAX_TABLE_CELLS = 1 << 28  # largest coefficient box fit allocates (2 GiB)
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1
 _MAX_NODE = 2 ** 52  # i + 1/2 is an exact float for integers 0 <= i < 2^52
 
@@ -62,8 +61,8 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     """Empirical scaling coefficients alpha_hat_{j,k} = (1/n) sum_i phi_{j,k}(X_i).
 
     Raises ConfigurationError for an empty or non-finite sample
-    (`_as_sample`) and for one past the reach rule (`kernel._check_reach`),
-    and ValueError for one whose k-box would exceed _MAX_TABLE_CELLS cells.
+    (`_as_sample`), for one past the reach rule (`kernel._check_reach`) and
+    for one whose k-box would exceed _MAX_TABLE_CELLS cells.
 
     Haar counts the sample in blocks of max(_BLOCK_ROWS, cells) rows, cells
     the size of the k-box: its scratch memory is one block's indices, not
@@ -79,8 +78,8 @@ def fit(basis: ScalingFunction, j: int, sample) -> WaveletDensityEstimator:
     bounds = [(float(a) * scale, float(b) * scale) for a, b in zip(lo, hi)]
     cells = math.prod(b // 1.0 - a // 1.0 + basis.width for a, b in bounds)
     if cells > _MAX_TABLE_CELLS:
-        raise ValueError(f"sample spans {cells:.4g} coefficient cells at level "
-                         f"j={j}, more than the {_MAX_TABLE_CELLS} fit allocates")
+        raise ConfigurationError(f"sample spans {cells:.4g} coefficient cells at level "
+                                 f"j={j}, more than the {_MAX_TABLE_CELLS} fit allocates")
     _check_reach(basis, j, zip(lo, hi), "sample")
     haar = basis.interp == "left"
     origin = np.floor(lo * scale).astype(np.int64) - (basis.width - 1)
@@ -227,7 +226,7 @@ def evaluate(est: WaveletDensityEstimator, x) -> np.ndarray:
     plan = plans.get((est.basis, j))
     if plan is None:
         if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+            raise ConfigurationError("points must be finite")
         plan = plans[est.basis, j] = _plan(est.basis, j, pts)
     out = _apply(plan, est.origin, est.table)
     out *= 2.0 ** (d * j / 2.0)
@@ -301,7 +300,7 @@ def expected_estimator(density: Density, basis: ScalingFunction, j: int,
     j = _check_level(j, d)
     pts, single = _as_points(x, d)
     if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+        raise ConfigurationError("points must be finite")
     w = basis.width
     coords = pts.reshape(-1, 1)
     if len(coords) == 0:
@@ -419,7 +418,7 @@ def sup_deviation(est: WaveletDensityEstimator, density: Density,
     if f is None:  # checked as it is memoized; a non-positive f is never kept
         f = np.asarray(density.pdf(grid.points), float)
         if np.any(f <= 0.0):
-            raise ValueError("density must be strictly positive on the grid")
+            raise ConfigurationError("density must be strictly positive on the grid")
         grid._pdfs[density] = f
     d, j, n = est.dimension, est.level, est.n
     if mode == "theorem1":

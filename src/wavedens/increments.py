@@ -21,7 +21,7 @@ from .errors import ConfigurationError
 from .estimator import _flat_base, expected_estimator
 from .kernel import (LocalizedKernel, ProjectionKernel, _box_diff, _box_sum,
                      _corner_axes, kernel_Kj_batch)
-from .sampling import Density, _as_point, _as_sample, _check_level, _is_real
+from .sampling import Density, _as_point, _as_sample, _check_level, _positive
 
 DEFAULT_GRID_STEP = 2.0 ** -10
 
@@ -53,7 +53,7 @@ def _corner_counts(sample, density: Density, x, j: int, halfwidth: float,
     x = _as_point(x, d)
     fx = density.pdf(x)
     if fx <= 0.0:
-        raise ValueError("f(x) must be positive")
+        raise ConfigurationError("f(x) must be positive")
     axes = _corner_axes(halfwidth, grid_step, d)
     with np.errstate(over="ignore"):  # a point that overflows is off the lattice
         u = (sample - x) / (2.0 ** -j)
@@ -100,11 +100,9 @@ def g_n_x(sample, density: Density, x, j: int,
 def g_tilde_n_x(sample, density: Density, x, j: int, c: float,
                 halfwidth: float = 1.0, grid_step: float = DEFAULT_GRID_STEP) -> IncrementFunction:
     """Erdos-Renyi scaled counting functional (nonnegative, box-monotone)."""
-    if not (_is_real(c) and 0.0 < c < math.inf):
-        raise ValueError(f"c must be positive and finite, got {c!r}")
+    _positive(c, "c")
     n, _, fx, h, axes, counts = _corner_counts(sample, density, x, j, halfwidth, grid_step, 0)
-    values = counts / (c * fx * n * h)
-    return IncrementFunction(axes, values)
+    return IncrementFunction(axes, counts / (c * fx * n * h))
 
 
 def from_cell_density(axes, gdot_cells: np.ndarray) -> IncrementFunction:
@@ -158,7 +156,7 @@ def relation_check(sample, density: Density, x, j: int, basis: ScalingFunction) 
     ksum = kernel_Kj_batch(ProjectionKernel(basis, d), j, x, sample).sum()  # x must be finite
     fx = density.pdf(x)
     if fx <= 0.0:
-        raise ValueError("f(x) must be positive")
+        raise ConfigurationError("f(x) must be positive")
     efhat = expected_estimator(density, basis, j, x)
     lhs = math.sqrt(n * h / (2.0 * fx * log_term)) * (float(ksum / n) - efhat)
     rhs = (ksum * h / math.sqrt(n) - math.sqrt(n) * h * efhat) \

@@ -15,10 +15,11 @@ import numpy as np
 
 from .basis import ScalingFunction, eval_phi
 from .errors import ConfigurationError
-from .sampling import _as_point, _check_dimension, _check_level, _grid_points
+from .sampling import _as_point, _check_dimension, _check_level, _grid_points, _positive
 
 _MAX_SHIFT = 2.0 ** 62  # |2^j x| bound that keeps the int64 shift arithmetic exact
 _MAX_SMOOTH_SHIFT = 2.0 ** 52  # below it every shift and y - shift is an exact float
+_MAX_TABLE_CELLS = 1 << 28  # largest coefficient box or corner lattice allocated (2 GiB)
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,15 @@ class LocalizedKernel:
 
 def _corner_axes(halfwidth: float, grid_step: float, d: int) -> tuple:
     """The corner lattice -W + step * arange(m + 1) over [-W, W], once per
-    coordinate; the step must divide 2W so that cells tile the box."""
-    if not grid_step > 0:  # NaN too
-        raise ConfigurationError("grid_step must be positive")
-    m = 2.0 * halfwidth / grid_step
+    coordinate; the step must divide 2W so that cells tile the box, and the
+    (m + 1)^d corners must not exceed _MAX_TABLE_CELLS."""
+    _positive(halfwidth, "halfwidth")
+    _positive(grid_step, "grid_step")
+    m = 2.0 * halfwidth / grid_step  # inf when the step is tiny enough
+    # m + 1 first: round(inf) and a float power can overflow, an int power cannot
+    if m + 1 > _MAX_TABLE_CELLS or (round(m) + 1) ** d > _MAX_TABLE_CELLS:
+        raise ConfigurationError(f"grid_step {grid_step!r} gives more than {_MAX_TABLE_CELLS} "
+                                 f"lattice corners in d = {d}")
     if abs(m - round(m)) > 1e-9 or round(m) < 2:
         raise ConfigurationError("grid_step must evenly divide the domain box width")
     ax = -halfwidth + grid_step * np.arange(int(round(m)) + 1)

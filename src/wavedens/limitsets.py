@@ -19,7 +19,7 @@ from ._threads import thread_count
 from .errors import ConfigurationError, NumericalError
 from .increments import from_cell_density, theta
 from .kernel import LocalizedKernel
-from .sampling import _is_real
+from .sampling import _positive
 
 _EXP_CLIP = 500.0  # exp argument cap; costs beyond this dwarf any feasible 1/v
 
@@ -121,17 +121,18 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
 
 
 def h_poisson(t):
-    """Poisson rate function: t log t - t + 1 on (0, inf), 1 at 0, inf below 0."""
+    """Poisson rate function: t log t - t + 1 on (0, inf), 1 at 0, inf below
+    0 and at +inf, NaN at NaN."""
     t = np.asarray(t, float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    if t.size and t.min() > 0.0:
-        # all positive (min is NaN if any entry is): the masked path's
-        # values without its masks and copies
+    if t.size and t.min() > 0.0 and t.max() < np.inf:
+        # all positive and finite (min is NaN if any entry is): the masked
+        # path's values without its masks and copies
         out = _h_positive(t)
         return float(out[0]) if scalar else out
-    out = np.full(t.shape, np.inf)
-    pos = t > 0.0
+    out = np.where(t < 0.0, np.inf, t)  # keeps NaN and +inf
+    pos = (t > 0.0) & (t < np.inf)
     out[pos] = _h_positive(t[pos])
     out[t == 0.0] = 1.0
     return float(out[0]) if scalar else out
@@ -239,8 +240,7 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
     release the GIL); the results are the same bits either way.  A v too
     small or too large for the dual to resolve raises ConfigurationError.
     """
-    if not (_is_real(v) and 0.0 < v < math.inf):  # NaN too
-        raise ValueError(f"v must be positive and finite, got {v!r}")
+    _positive(v, "v")
     kv = lk.cell_values()
     budget = 1.0 / v
     box = _nonzero_box(kv)
@@ -274,8 +274,7 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
 def theorem2_threshold(density, box, c: float, lk: LocalizedKernel) -> float:
     """Predicted persistent relative-deviation magnitude under ER scaling:
     delta = min(hi - 1, 1 - lo) of the Gamma interval at v = c f(x0)."""
-    if not (_is_real(c) and 0.0 < c < math.inf):
-        raise ValueError(f"ER constant c must be positive and finite, got {c!r}")
+    _positive(c, "ER constant c")
     fx0 = density.sup_on(box)
     iv = gamma_interval(lk, c * fx0)
     return min(iv.hi - 1.0, 1.0 - iv.lo)

@@ -67,6 +67,11 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _positive(value, name: str) -> None:
+    if not (_is_real(value) and 0.0 < value < math.inf):  # NaN too
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _check_level(j: int, d: int, lowest: int = 0) -> int:
     """A multiresolution level in d dimensions: an integer j >= lowest with
     2^(d j) a finite float, so that the bandwidth 2^(-d j) is positive.  The
@@ -283,12 +288,12 @@ class Density:
 
         lo_axes: list of d arrays of lower-corner coordinates; hi: a corner
         of shape (d,); returns an array of shape (len(ax) for ax in lo_axes).
-        Another number of axes raises ValueError, a NaN corner coordinate
+        Another number of axes or a NaN corner coordinate raises
         ConfigurationError; an infinite one is a valid corner.
         """
         if len(lo_axes) != self.dimension:
-            raise ValueError(f"lo_axes must hold d = {self.dimension} axes, "
-                             f"got {len(lo_axes)}")
+            raise ConfigurationError(f"lo_axes must hold d = {self.dimension} axes, "
+                                     f"got {len(lo_axes)}")
         hi = _as_point(hi, self.dimension)
         # one cdf call per axis, with hi[i] last; each value keeps its bits
         axes = [np.append(ax, hi[i]) for i, ax in enumerate(lo_axes)]
@@ -309,10 +314,12 @@ class Density:
 
         The search grid has 2049 points in 1-D and n per axis from 2-D on:
         the largest n with n^d <= 257^2 (257 in 2-D, 40 in 3-D, 16 in 4-D),
-        and at least 2."""
+        and at least 2.  The corners must be finite: an infinite one would
+        put NaN and infinite points in the grid."""
         lo, hi = (_as_point(v, self.dimension) for v in box)
-        if not np.all(lo <= hi):  # NaN fails too
-            raise ConfigurationError("box must have lo <= hi in every coordinate")
+        if not np.all((-np.inf < lo) & (lo <= hi) & (hi < np.inf)):  # NaN fails too
+            raise ConfigurationError("box must have finite corners with lo <= hi "
+                                     "in every coordinate")
         d = self.dimension
         # 257 is prime: from d = 3 on, 257^(2/d) is not an integer, and int()
         # floors it; at d = 2 it is 257.0 exactly

@@ -372,3 +372,19 @@ def test_side_files_replace_only_the_extension_of_emit(tmp_path, monkeypatch, ca
     assert main(kernel + ["k.json"]) == 2
     assert "side file" in capsys.readouterr().err
     assert not (tmp_path / "k.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--family", "haar", "--step", "1e-320"],
+    ["kernel", "--family", "haar", "--step", "1e-300"],
+    ["limitsets", "--family", "haar", "--v", "1", "--step", "1e-320"],
+    ["limitsets", "--family", "haar", "--v", "1", "--step", "1e-300"],
+    ["increments", "--kind", "gnx", "--density", "uniform01", "--n", "10", "--level", "2",
+     "--step", "1e-320"],
+])
+def test_a_lattice_too_large_to_build_exits_2(tmp_path, capsys, argv):
+    # a step of 1e-320 ended in an OverflowError traceback, exit 1
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--emit", str(out)]) == 2
+    assert "lattice corners" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

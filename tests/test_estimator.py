@@ -256,6 +256,25 @@ def test_fit_rejects_far_outliers_before_allocating():
     assert fit(basis, 10, np.array([0.5, 100.0])).table.size == 102400 - 511
 
 
+def test_expected_estimator_at_a_non_finite_point_and_at_no_points():
+    den = make_density("cosine_bump", 2)
+    for basis in (build_family("haar"), build_family("db4")):
+        with pytest.raises(ConfigurationError, match="points must be finite"):
+            expected_estimator(den, basis, 3, [[0.3, 0.5], [0.4, math.nan]])
+        none = expected_estimator(den, basis, 3, np.zeros((0, 2)))
+        assert isinstance(none, np.ndarray) and none.shape == (0,)
+
+
+def test_sup_deviation_refuses_a_density_that_is_0_on_the_grid():
+    den = make_density("uniform01", 1)
+    est = fit(build_family("haar"), 2, draw(den, SeedSpec(4), 100))
+    grid = make_grid(((0.5,), (1.5,)), 2)  # uniform01 is 0 past x = 1
+    for mode in ("ratio", "theorem1"):
+        with pytest.raises(ConfigurationError, match="strictly positive on the grid"):
+            sup_deviation(est, den, grid, mode)
+    assert grid._pdfs == {}  # a non-positive f is not kept
+
+
 def test_expected_estimator_rejects_other_point_shapes():
     # a d = 1 density at two coordinates used to return E fhat(.3) E fhat(.5)
     den = make_density("uniform01", 1)

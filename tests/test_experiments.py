@@ -151,6 +151,16 @@ def test_config_validation():
         _config(dimension=2, schedule=_crs(0.5, d=1)).validate()
 
 
+def test_config_validation_reaches_each_n_grid_and_schedule_check():
+    for n_grid, message in (((), "n_grid must be nonempty"),
+                            ((2, 4096), "n_grid entries must be >= 4")):
+        with pytest.raises(ConfigurationError, match=message):
+            _config(n_grid=n_grid).validate()
+    # with H in 2-D, so that H's shape is not what fails
+    with pytest.raises(ConfigurationError, match="schedule dimension mismatch"):
+        _config(dimension=2, h=((0.25, 0.25), (0.75, 0.75)), schedule=_crs(0.5, d=1)).validate()
+
+
 def test_run_theorem1_smoke():
     rep = run_theorem1(_config(n_grid=(4096, 16384), replications=4,
                                base_seed=11))

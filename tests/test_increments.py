@@ -175,6 +175,22 @@ def test_theta_rejects_a_foreign_lattice():
     assert math.isfinite(theta(lk, same))
 
 
+@pytest.mark.parametrize("halfwidth", [math.nan, math.inf, 0.0])
+def test_an_increment_lattice_needs_a_positive_finite_halfwidth(halfwidth):
+    # NaN raised a bare ValueError from round(), inf an OverflowError
+    den = make_density("uniform01", 1)
+    with pytest.raises(ConfigurationError, match="halfwidth must be positive and finite"):
+        g_n_x(draw(den, SeedSpec(1), 50), den, [0.5], 2, halfwidth=halfwidth)
+
+
+def test_theta_rejects_an_increment_of_another_dimension():
+    lk = localize(ProjectionKernel(build_family("haar"), 1), 0, np.zeros(1), 0.25)
+    den2 = make_density("uniform01", 2)
+    g = g_n_x(draw(den2, SeedSpec(2), 200), den2, [0.5, 0.5], 2, grid_step=0.25)
+    with pytest.raises(ConfigurationError, match="increment and kernel dimensions differ"):
+        theta(lk, g)
+
+
 HAAR = build_family("haar")
 
 

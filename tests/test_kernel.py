@@ -7,7 +7,7 @@ import pytest
 
 from wavedens.basis import build_family, eval_phi
 from wavedens.errors import ConfigurationError
-from wavedens.kernel import (LocalizedKernel, ProjectionKernel,
+from wavedens.kernel import (LocalizedKernel, ProjectionKernel, _corner_axes,
                              cell_lower_corners, kernel_K_batch,
                              kernel_Kj_batch, localize)
 from wavedens.sampling import _grid_points
@@ -204,3 +204,29 @@ def test_kernel_Kj_sum_scales_to_the_kernel_sum_bit_for_bit(family, d):
         y = x + rng.uniform(-4.0, 4.0, (n, d)) * 2.0 ** -j
         kj = kernel_Kj_batch(pk, j, x, y).sum() * 2.0 ** (-d * j)
         assert kj.tobytes() == kernel_K_batch(pk, 2.0 ** j * x, 2.0 ** j * y).sum().tobytes()
+
+
+@pytest.mark.parametrize("step", [True, math.inf, 0.0, -STEP, math.nan])
+def test_grid_step_must_be_a_positive_finite_number(step):
+    # True was taken as a step of 1, inf reported "evenly divide"
+    pk = ProjectionKernel(build_family("haar"), 1)
+    with pytest.raises(ConfigurationError, match="grid_step must be positive and finite"):
+        localize(pk, 0, np.zeros(1), step)
+
+
+@pytest.mark.parametrize("step", [1e-320, 1e-300])
+def test_a_corner_lattice_past_max_table_cells_is_refused(step):
+    # 2W / 1e-320 is inf and round(inf) raised OverflowError; 1e-300 reached
+    # numpy's "Maximum allowed size exceeded"
+    pk = ProjectionKernel(build_family("haar"), 1)
+    with pytest.raises(ConfigurationError, match="more than 268435456 lattice corners"):
+        localize(pk, 0, np.zeros(1), step)
+
+
+def test_the_corner_bound_counts_all_d_coordinates():
+    # 513^3 corners are inside 2^28 and 1025^3 past it; only the axes are built
+    assert [len(ax) for ax in _corner_axes(1.0, 2.0 ** -8, 3)] == [513] * 3
+    with pytest.raises(ConfigurationError, match="in d = 3"):
+        _corner_axes(1.0, 2.0 ** -9, 3)
+    # the largest lattice in use, db6's in 2-D at step 2^-6, is far inside
+    assert len(_corner_axes(build_family("db6").width, 2.0 ** -6, 2)[0]) == 641

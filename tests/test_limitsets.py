@@ -54,6 +54,8 @@ def test_h_poisson_values():
 
 
 def _h_scalar(t):
+    if t != t:
+        return math.nan
     if t > 0.0:
         return t * math.log(t) - t + 1.0
     return 1.0 if t == 0.0 else math.inf
@@ -61,12 +63,31 @@ def _h_scalar(t):
 
 def test_h_poisson_matches_scalar_definition():
     ts = [2.0, 0.0, -1.0, math.nan, -0.0, 1e-300]
-    assert h_poisson(np.array(ts)).tolist() == [_h_scalar(t) for t in ts]
-    assert [h_poisson(t) for t in ts] == [_h_scalar(t) for t in ts]
+    assert np.array_equal(h_poisson(np.array(ts)), [_h_scalar(t) for t in ts], equal_nan=True)
+    assert np.array_equal([h_poisson(t) for t in ts], [_h_scalar(t) for t in ts], equal_nan=True)
     # all-positive arrays skip the masks: same values as with a zero beside them
     pos = np.array([2.0, 1e-300, 0.5, 3.7, 1e300, 1.0])
     masked = h_poisson(np.append(pos, 0.0))[:-1]
     assert np.array_equal(h_poisson(pos), masked)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_h_poisson_at_nan_and_infinities():
+    # NaN gave inf, and +inf NaN with "invalid value encountered in subtract"
+    assert math.isnan(h_poisson(math.nan))
+    assert h_poisson(math.inf) == math.inf
+    assert h_poisson(-math.inf) == math.inf
+    got = h_poisson(np.array([0.5, math.inf, math.nan, -math.inf, 0.0]))
+    want = [h_poisson(0.5), math.inf, math.nan, math.inf, 1.0]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(h_poisson(np.array([0.5, math.inf]))[:1], h_poisson([0.5]))
+
+
+def test_theorem2_threshold_refuses_an_infinite_box():
+    # sup_on gave f(x0) = 0.0 on [0, inf], and gamma_interval then refused v = 0
+    den = make_density("cosine_bump", 1)
+    with pytest.raises(ConfigurationError, match="finite corners"):
+        theorem2_threshold(den, ((0.0,), (math.inf,)), 1.0, _haar_lk())
 
 
 def test_strassen_extremal_is_one():

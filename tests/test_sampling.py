@@ -148,6 +148,20 @@ def test_sup_on():
         make_density("uniform01", 2).sup_on(((0.25, 0.75), (0.75, 0.5)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", DENSITIES)
+@pytest.mark.parametrize("box", [((0.0,), (math.inf,)), ((-math.inf,), (0.5,)),
+                                 ((-math.inf,), (math.inf,))])
+def test_sup_on_refuses_infinite_corners(name, box):
+    # returned 0.0 on [0, inf] for every density (1, 1.5 and 2.091 are
+    # right), and 0.5 and 1.085 on [-inf, 0.5] for cosine_bump and
+    # trunc_gauss_mix (1.5 and 1.348), with RuntimeWarnings
+    with pytest.raises(ConfigurationError, match="finite corners with lo <= hi"):
+        make_density(name, 1).sup_on(box)
+    with pytest.raises(ConfigurationError, match="lo <= hi"):
+        make_density(name, 2).sup_on(((0.0, 0.0), (1.0, math.inf)))
+
+
 def test_sup_on_in_3d_searches_at_most_257_squared_points():
     # the search grid had 257^3 = 16.97M points in 3-D, about 1 GB and 1-3 s a
     # call, and 4.4e9 in 4-D; now 40^3 and 16^4.  The pinned value is the
