@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,20 +23,40 @@ from .kernel import LocalizedKernel
 from .sampling import _positive
 
 _EXP_CLIP = 500.0  # exp argument cap; costs beyond this dwarf any feasible 1/v
+_BLOCK = 1 << 15  # cells per block of the cost curve's exp and h (256 KB buffers)
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalJ:
-    """Image interval of Gamma_v under the unnormalized kernel functional."""
+    """Image interval of Gamma_v under the unnormalized kernel functional.
+
+    eta_lo and eta_hi are the dual multipliers of the two endpoints
+    (eta_lo = 0.0 marks the closed-form lower endpoint); `certificate`
+    rebuilds the dual maximizers from them and the kernel on first read.
+    """
 
     lo: float
     hi: float
     v: float
-    certificate: dict = field(repr=False)
+    eta_lo: float
+    eta_hi: float
+    kernel: LocalizedKernel = field(repr=False)
 
     def __post_init__(self):
         if not (self.lo <= 1.0 + 1e-9 and self.hi >= 1.0 - 1e-9):
             raise NumericalError("interval must contain 1 (gdot = 1 is free)")
+
+    @cached_property
+    def certificate(self) -> dict:
+        """eta_hi, eta_lo and the maximizers gdot_hi, gdot_lo over the
+        kernel's cells: the arrays the dual check of gamma_interval summed,
+        built by the same function, so an interval holds none of them
+        until this is read."""
+        kv = self.kernel.cell_values()
+        box, kmax = _support(kv)
+        return {"eta_hi": self.eta_hi, "eta_lo": self.eta_lo,
+                "gdot_hi": _gdot(kv, box, kmax, +1.0, self.eta_hi),
+                "gdot_lo": _gdot(kv, box, kmax, -1.0, self.eta_lo)}
 
 
 def _h_positive(t: np.ndarray, out=None) -> np.ndarray:
@@ -150,16 +171,38 @@ def strassen_extremal(lk: LocalizedKernel):
     return theta(lk, g, normalized=True), gdot
 
 
-def _nonzero_box(kv: np.ndarray) -> tuple:
-    """Slices of the smallest box that holds every cell where kv != 0
-    (empty slices if there is none)."""
+def _support(kv: np.ndarray) -> tuple:
+    """(box, kmax): the slices of the smallest box that holds every cell
+    where kv != 0 (empty slices if there is none), and max|kv|."""
     nz = kv != 0.0
     box = []
     for i in range(kv.ndim):
         others = tuple(a for a in range(kv.ndim) if a != i)
         hit = np.flatnonzero(np.any(nz, axis=others))
         box.append(slice(hit[0], hit[-1] + 1) if hit.size else slice(0, 0))
-    return tuple(box)
+    box = tuple(box)
+    return box, float(np.max(np.abs(kv[box]), initial=0.0))
+
+
+def _exp_dual(kb: np.ndarray, kmax: float, sign: float, eta: float) -> np.ndarray:
+    """exp(sign * kb / eta) in a fresh array, the exponent clipped to
+    +-_EXP_CLIP; kmax = max|K| over the box that holds kb."""
+    z = kb / (sign * eta)  # the bits of sign * kb / eta, as sign = +-1
+    # fl(k / eta) is monotone in k, so the clip binds iff it binds at max|K|
+    if not kmax / eta <= _EXP_CLIP:
+        np.clip(z, -_EXP_CLIP, _EXP_CLIP, out=z)
+    return np.exp(z, out=z)
+
+
+def _gdot(kv: np.ndarray, box: tuple, kmax: float, sign: float, eta: float) -> np.ndarray:
+    """The dual maximizer of a Gamma_v endpoint over kv's cells: 1.0
+    outside the box (`_support`), exp(sign K / eta) inside; eta = 0.0 is
+    the closed-form lower endpoint, 0 where K > 0 and 1 elsewhere."""
+    if eta == 0.0:
+        return np.where(kv > 0.0, 0.0, 1.0)
+    gd = np.ones(kv.shape)
+    gd[box] = _exp_dual(kv[box], kmax, sign, eta)
+    return gd
 
 
 def _gamma_endpoint(lk: LocalizedKernel, box: tuple, kmax: float,
@@ -167,48 +210,62 @@ def _gamma_endpoint(lk: LocalizedKernel, box: tuple, kmax: float,
     """Solve sup/inf of sum(K gdot) vol s.t. sum(h(gdot)) vol <= budget.
 
     sign=+1 gives the upper endpoint with gdot = exp(K/eta), sign=-1 the
-    lower endpoint with gdot = exp(-K/eta); eta > 0 found by Brent's method
-    on the (monotone) cost curve.  box (`_nonzero_box`) holds every cell with
-    K != 0, and kmax = max|K|.
+    lower endpoint with gdot = exp(-K/eta); eta > 0 is `_dual_root`'s.  box
+    and kmax are `_support`'s.  Returns (value, eta), eta = 0.0 for the
+    closed-form lower endpoint; `_gdot` rebuilds from them the maximizer
+    that the dual check summed.
+    """
+    kv, vol = lk.cell_values(), lk.cell_volume
+    if sign < 0:
+        # objective is minimized at gdot = 0 on {K > 0} when that is feasible
+        kb = kv[box]
+        slack_cost = float(np.count_nonzero(kb > 0.0)) * vol
+        if np.all(kb >= 0.0) and slack_cost <= budget + 1e-12:
+            return 0.0, 0.0
+    eta = _dual_root(lk, box, kmax, budget, sign)
+    gd = _gdot(kv, box, kmax, sign, eta)
+    # the certificate over the full shape, through the public h: checks the
+    # box-only cost as well as the root, relative to budgets above 1, whose
+    # correct roots round to a residual that grows with the budget
+    if abs(float(np.sum(h_poisson(gd)) * vol) - budget) > 1e-9 * max(1.0, budget):
+        raise NumericalError("gamma endpoint dual constraint not met to tolerance")
+    return float(np.sum(kv * gd) * vol), float(eta)
+
+
+def _dual_root(lk: LocalizedKernel, box: tuple, kmax: float, budget: float,
+               sign: float) -> float:
+    """eta > 0 where the (monotone) cost curve sum(h(gdot)) vol meets the
+    budget, by Brent's method.
 
     The cost curve runs exp and h only on the box.  A cell with K = +-0
     has gdot = exp(+-0) = 1.0 and h(1.0) = 0.0 exactly, so the cost array
-    holds 0.0 outside the box and is summed over the full shape, as before:
-    every cost, eta, endpoint and certificate keeps its bits.  Costs are
-    memoized on the kernel, so a v-sweep evaluates the bracket points and
-    the probe at eta = 1e-12 (where the clip binds) once per kernel.
+    holds 0.0 outside the box and is summed over the full shape: every
+    cost, eta, endpoint and certificate has the bits of the full-shape
+    dual.  Costs are memoized on the kernel, so a v-sweep evaluates the
+    bracket points and the probe at eta = 1e-12 (where the clip binds)
+    once per kernel.
     """
     kv, vol = lk.cell_values(), lk.cell_volume
-    kb = np.ascontiguousarray(kv[box])
+    kb = kv[box]
     costs = lk._costs
-    # one cost array per call: each evaluation overwrites its box, the zeros
-    # outside stay, and nothing the size of the grid outlives the call.  h
-    # is formed in a contiguous box-shaped buffer and copied into the
-    # strided box once, not walked there by each of _h_positive's ufuncs
+    # one cost array per call, freed on return before the certificate's
+    # arrays are made: each evaluation overwrites its box (the zeros
+    # outside stay), forming exp and h a block of _BLOCK cells at a time
+    # in buffers that stay in cache
     h = np.zeros(kv.shape)
-    hb = np.empty(kb.shape)
-
-    def gdot_of(eta):
-        z = kb / (sign * eta)  # the bits of sign * kb / eta, as sign = +-1
-        # fl(k / eta) is monotone in k, so the clip binds iff it binds at max|K|
-        if not kmax / eta <= _EXP_CLIP:
-            np.clip(z, -_EXP_CLIP, _EXP_CLIP, out=z)
-        return np.exp(z, out=z)
+    hbox = h[box]
+    rows = max(1, _BLOCK // max(1, math.prod(kb.shape[1:])))
+    hb = np.empty((rows,) + kb.shape[1:])
 
     def cost(eta):
         c = costs.get((sign, eta))
         if c is None:
-            # exp(z) with |z| <= 500 is positive, so h needs no mask or scan
-            h[box] = _h_positive(gdot_of(eta), out=hb)
+            for r in range(0, len(kb), rows):
+                # exp(z) with |z| <= 500 is positive, so h needs no mask or scan
+                z = _exp_dual(kb[r:r + rows], kmax, sign, eta)
+                hbox[r:r + rows] = _h_positive(z, out=hb[:len(z)])
             c = costs[sign, eta] = float(np.sum(h) * vol)
         return c
-
-    if sign < 0:
-        # objective is minimized at gdot = 0 on {K > 0} when that is feasible
-        slack_cost = float(np.count_nonzero(kb > 0.0)) * vol
-        if np.all(kb >= 0.0) and slack_cost <= budget + 1e-12:
-            gd = np.where(kv > 0.0, 0.0, 1.0)
-            return 0.0, 0.0, gd
 
     lo_eta, hi_eta = 1e-12, 1.0
     if cost(lo_eta) < budget:  # cost falls with eta: no eta meets the budget
@@ -218,16 +275,8 @@ def _gamma_endpoint(lk: LocalizedKernel, box: tuple, kmax: float,
         hi_eta *= 4.0
     if cost(hi_eta) > budget:
         raise NumericalError("gamma endpoint bisection failed to bracket")
-    eta = _brentq(lambda e: cost(e) - budget, lo_eta, hi_eta,
-                  xtol=1e-300, rtol=8.9e-16, maxiter=500)
-    gd = np.ones(kv.shape)
-    gd[box] = gdot_of(eta)
-    # the certificate over the full shape, through the public h: checks the
-    # box-only cost as well as the root, relative to budgets above 1, whose
-    # correct roots round to a residual that grows with the budget
-    if abs(float(np.sum(h_poisson(gd)) * vol) - budget) > 1e-9 * max(1.0, budget):
-        raise NumericalError("gamma endpoint dual constraint not met to tolerance")
-    return float(np.sum(kv * gd) * vol), float(eta), gd
+    return _brentq(lambda e: cost(e) - budget, lo_eta, hi_eta,
+                   xtol=1e-300, rtol=8.9e-16, maxiter=500)
 
 
 def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
@@ -243,13 +292,12 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
     _positive(v, "v")
     kv = lk.cell_values()
     budget = 1.0 / v
-    box = _nonzero_box(kv)
+    box, kmax = _support(kv)
     # h rounds by about 2^-52 a cell near gdot = 1: a budget 1/v below 1e3 times that is lost
     most = _div(2.0 ** 52 / 1e3, math.prod(s.stop - s.start for s in box) * lk.cell_volume)
     if v > most:
         raise ConfigurationError(f"v must be at most {most:.17g} for this kernel, the largest "
                                  "v the Gamma_v dual resolves")
-    kmax = float(np.max(np.abs(kv[box]), initial=0.0))
 
     def endpoint(sign):
         return _gamma_endpoint(lk, box, kmax, budget, sign)
@@ -258,17 +306,15 @@ def gamma_interval(lk: LocalizedKernel, v: float) -> IntervalJ:
         with ThreadPoolExecutor(max_workers=1) as pool:
             upper = pool.submit(endpoint, +1.0)
             try:
-                lo, eta_lo, gd_lo = endpoint(-1.0)
+                lo, eta_lo = endpoint(-1.0)
             finally:
                 # read even when the lower endpoint raised: an error of the
                 # upper one comes first, as in the serial order
-                hi, eta_hi, gd_hi = upper.result()
+                hi, eta_hi = upper.result()
     else:
-        hi, eta_hi, gd_hi = endpoint(+1.0)
-        lo, eta_lo, gd_lo = endpoint(-1.0)
-    cert = {"eta_hi": eta_hi, "eta_lo": eta_lo,
-            "gdot_hi": gd_hi, "gdot_lo": gd_lo}
-    return IntervalJ(lo, hi, v, cert)
+        hi, eta_hi = endpoint(+1.0)
+        lo, eta_lo = endpoint(-1.0)
+    return IntervalJ(lo, hi, v, eta_lo, eta_hi, lk)
 
 
 def theorem2_threshold(density, box, c: float, lk: LocalizedKernel) -> float:

@@ -270,6 +270,25 @@ def test_records_keep_their_bytes(tmp_path, config, sha256, summary_sha256):
     assert hashlib.sha256(summary).hexdigest()[:16] == summary_sha256
 
 
+@pytest.mark.parametrize("args,grid_sha256,sha256", [
+    pytest.param(["--family", "haar", "--v", "0.1", "--step", "0.0625"],
+                 "c2288e5207cbe013", "e077b157d4286cb0", id="haar-closed-form-lower"),
+    pytest.param(["--family", "db4", "--dim", "2", "--v", "2", "--step", "0.25"],
+                 "0b311bc49389b9fa", "ecdcbe4981f1f1b0", id="db4-2d"),
+    pytest.param(["--family", "db6", "--v", "1e6", "--step", "0.015625"],
+                 "0c424fdba62439a3", "b97735324c2fe4f8", id="db6-narrow"),
+])
+def test_limitsets_certificate_keeps_its_bytes(tmp_path, monkeypatch, args, grid_sha256,
+                                               sha256):
+    # the certificate grid is rebuilt from the kernel and eta when read: a
+    # moved bit in a gdot, eta or endpoint shows here.  The JSON names the
+    # grid CSV by the path given, so the run emits into the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["limitsets", *args, "--emit", "iv.json"]) == 0
+    assert hashlib.sha256((tmp_path / "iv_grid.csv").read_bytes()).hexdigest()[:16] == grid_sha256
+    assert hashlib.sha256((tmp_path / "iv.json").read_bytes()).hexdigest()[:16] == sha256
+
+
 def test_a_missing_config_key_exits_2(tmp_path, capsys):
     # from_dict reads each field by name: a missing one is a KeyError (exit
     # 2), where building the config from the JSON object as is would raise

@@ -280,6 +280,42 @@ def test_gamma_interval_holds_no_cost_array_after_it_returns(monkeypatch):
         assert held <= certs + 64 * 1024, threads
 
 
+def test_gamma_sweep_holds_no_lattice_sized_array_after_it_returns(monkeypatch):
+    # an interval holds its kernel and two multipliers: with the GC off, a
+    # sweep of ten v leaves far less than one 384 x 384 array (1.2 MB) held
+    # until a certificate is read, and each certificate read then is the
+    # plain dual's, bit for bit
+    def fresh_lk():
+        return localize(ProjectionKernel(build_family("db4"), 2), 0, np.zeros(2), 2.0 ** -6)
+
+    lk = fresh_lk()
+    kv, vol = lk.cell_values(), lk.cell_volume
+    sweep = np.logspace(-1, 6, 10)
+    plain = {v: (_plain_endpoint(kv, vol, 1.0 / v, -1.0), _plain_endpoint(kv, vol, 1.0 / v, +1.0))
+             for v in sweep}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WAVEDENS_THREADS", threads)
+        lk = fresh_lk()
+        gamma_interval(lk, 1.0)  # first-call imports and caches
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ivs = [gamma_interval(lk, v) for v in sweep]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 64 * 1024, (threads, held)
+        for iv in ivs:
+            (lo, eta_lo, gd_lo), (hi, eta_hi, gd_hi) = plain[iv.v]
+            assert (iv.lo, iv.hi, iv.certificate["eta_lo"], iv.certificate["eta_hi"]) == (
+                lo, hi, eta_lo, eta_hi)
+            assert np.array_equal(iv.certificate["gdot_lo"], gd_lo)
+            assert np.array_equal(iv.certificate["gdot_hi"], gd_hi)
+
+
 def _bits(iv):
     """Every output of a gamma_interval call, for comparison with ==."""
     c = iv.certificate
